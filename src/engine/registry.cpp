@@ -19,8 +19,6 @@ struct RegistryMetrics {
   metrics::Counter& lookups = metrics::counter("registry.lookups");
   metrics::Counter& misses = metrics::counter("registry.misses");
   metrics::Counter& loads = metrics::counter("registry.loads");
-  metrics::Counter& f32_snapshots = metrics::counter("registry.f32_snapshots");
-  metrics::Counter& f32_failures = metrics::counter("registry.f32_failures");
   metrics::Counter& snapshot_loads =
       metrics::counter("registry.snapshot_loads");
 };
@@ -63,17 +61,6 @@ std::uint64_t ModelRegistry::register_model(
   entry->source = std::move(source);
   entry->model = std::move(model);
   entry->schema = std::move(schema);
-  // Build the optional f32 weight snapshot once, here, so sessions asking
-  // for f32 never convert per batch. A failed build degrades to "no f32
-  // path" (the session falls back to double) rather than failing
-  // registration — the double model is the product, f32 is an accelerator.
-  try {
-    entry->f32 = ml::make_f32_predictor(*entry->model);
-    if (entry->f32 != nullptr) registry_metrics().f32_snapshots.add();
-  } catch (const std::exception&) {
-    registry_metrics().f32_failures.add();
-    entry->f32 = nullptr;
-  }
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "engine/schema.hpp"
-#include "ml/f32.hpp"
 #include "ml/model.hpp"
 
 namespace dsml::engine {
@@ -40,11 +39,6 @@ struct ModelEntry {
   std::uint64_t version;   ///< 1 on first registration, +1 per swap
   std::string source;      ///< provenance ("file:model.dsml", "trained", ...)
   std::shared_ptr<const ml::Regressor> model;
-  /// Float32 weight snapshot, built once at registration (ml/f32.hpp);
-  /// nullptr when the model type has no f32 path or the snapshot build
-  /// failed (`registry.f32_failures`). Sessions use it only when
-  /// SessionOptions::use_f32 asks for it — double stays the default.
-  std::shared_ptr<const ml::F32Predictor> f32;
   Schema schema;
 };
 

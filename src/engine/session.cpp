@@ -17,10 +17,6 @@ struct SessionMetrics {
   metrics::Counter& coalesced = metrics::counter("engine.session.coalesced");
   metrics::Counter& degraded = metrics::counter("engine.session.degraded");
   metrics::Counter& rejected = metrics::counter("engine.session.rejected");
-  metrics::Counter& f32_batches =
-      metrics::counter("engine.session.f32_batches");
-  metrics::Counter& f32_fallbacks =
-      metrics::counter("engine.session.f32_fallbacks");
   metrics::Histogram& batch_rows =
       metrics::histogram("engine.session.batch_rows");
   metrics::Histogram& batch_us = metrics::histogram("engine.session.batch_us");
@@ -138,38 +134,22 @@ void InferenceSession::flush_locked(std::unique_lock<std::mutex>& lock) {
         registry_.get(model_name_);
     trace::Stopwatch watch;
     BatchOutcome combined;
-    // f32 routing is decided per flush: the snapshot rides the same entry
-    // lookup, so a model re-registered mid-session swaps both paths at once.
-    // Asking for f32 on a model without a snapshot degrades to double and is
-    // counted, never failed.
-    const bool f32_route = options_.use_f32 && entry->f32 != nullptr;
-    if (options_.use_f32 && !f32_route) session_metrics().f32_fallbacks.add();
-    const auto predict_batch = [&](const data::Dataset& rows) {
-      if (f32_route) {
-        session_metrics().f32_batches.add();
-        return entry->f32->predict(rows);
-      }
-      return entry->model->predict(rows);
-    };
     try {
       DSML_FAIL("engine.session.flush");
       if (batch.size() == 1) {
-        combined.values = predict_batch(*batch.front()->rows);
+        combined.values = entry->model->predict(*batch.front()->rows);
       } else {
         data::Dataset assembled = *batch.front()->rows;
         for (std::size_t i = 1; i < batch.size(); ++i) {
           assembled.append(*batch[i]->rows);
         }
-        combined.values = predict_batch(assembled);
+        combined.values = entry->model->predict(assembled);
       }
     } catch (const std::exception&) {
       if (!options_.retry_rows_on_batch_failure) throw;
       // Degrade: retry every row alone so one poisoned row (or an injected
       // batch failure) costs only itself. Bit-identity holds — per-row
-      // prediction matches batched prediction exactly. Degraded rows always
-      // take the double model (even in an f32 session): the retry exists to
-      // isolate failures, and double is the reference the error budget is
-      // measured against.
+      // prediction matches batched prediction exactly.
       degraded = true;
       session_metrics().degraded.add();
       combined = BatchOutcome{};

@@ -54,14 +54,6 @@ struct SessionOptions {
   /// Degrade a failed batch to per-row retry instead of failing every
   /// request in it.
   bool retry_rows_on_batch_failure = true;
-
-  /// Route batches through the model's float32 weight snapshot (built at
-  /// registration; see ml/f32.hpp) instead of the double path. Opt-in:
-  /// predictions then carry the documented <= 1e-5 relative error budget
-  /// instead of the bit-identity contract. A model without an f32 snapshot
-  /// silently serves double (`engine.session.f32_fallbacks` counts it), so
-  /// enabling this can never make a session fail.
-  bool use_f32 = false;
 };
 
 /// Per-request outcome with row granularity, for callers (the serve loop)

@@ -20,7 +20,7 @@ std::atomic<int> g_resolved_default{-1};
 const simd::SimdOps* detect_simd_ops() noexcept {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #if defined(DSML_LINALG_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2")) {
     if (const simd::SimdOps* ops = simd::avx2_ops()) return ops;
   }
 #endif

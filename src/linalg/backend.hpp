@@ -1,11 +1,11 @@
 // Runtime kernel-backend selection for the linalg dispatch layer.
 //
-// Every public kernel in kernels.hpp (and the f32 kernels in kernels_f32.hpp)
-// routes through a per-backend table chosen here. Three backends exist:
+// Every public kernel in kernels.hpp routes through a per-backend table chosen
+// here. Three backends exist:
 //
 //   naive   — the reference loops (single full-depth GEMM pass, scalar dots).
 //   blocked — the cache-blocked scalar kernels (the pre-dispatch default).
-//   simd    — vector kernels from src/linalg/simd/, cpuid-gated (AVX2+FMA
+//   simd    — vector kernels from src/linalg/simd/, cpuid-gated (AVX2
 //             preferred, SSE2 fallback; falls back to blocked when neither
 //             vector TU is usable on this machine).
 //
@@ -85,8 +85,8 @@ struct SimdOps;
 
 namespace detail {
 /// The cpuid-selected vector ops table, or nullptr when no vector TU matches
-/// this machine. Internal to the linalg dispatch layer (kernels.cpp,
-/// kernels_f32.cpp); everyone else asks simd_available()/simd_variant().
+/// this machine. Internal to the linalg dispatch layer (kernels.cpp); everyone
+/// else asks simd_available()/simd_variant().
 const simd::SimdOps* selected_simd_ops() noexcept;
 }  // namespace detail
 

@@ -1,20 +1,17 @@
-// AVX2+FMA kernel table. Compiled with -mavx2 -mfma -ffp-contract=off (see
-// src/linalg/CMakeLists.txt); the contract flag matters — without it the
-// compiler may fuse the explicit _mm256_mul_pd/_mm256_add_pd pairs (and the
-// scalar remainder loops) into FMAs, which rounds once instead of twice and
-// silently breaks bit-identity with the blocked backend.
+// AVX2 kernel table. Compiled with -mavx2 -ffp-contract=off (see
+// src/linalg/CMakeLists.txt); the contract flag matters — if FMA codegen is
+// ever enabled for this TU (-mfma, -march=native), the compiler may fuse the
+// explicit _mm256_mul_pd/_mm256_add_pd pairs (and the scalar remainder loops)
+// into FMAs, which rounds once instead of twice and silently breaks
+// bit-identity with the blocked backend.
 #include "linalg/simd/simd_kernels.hpp"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
 namespace dsml::linalg::simd {
 namespace {
-
-// ---------------------------------------------------------------------------
-// double kernels — bit-identical to the scalar loops in kernels.cpp.
-// ---------------------------------------------------------------------------
 
 // The j loop writes independent output elements, so 4-wide vectorization
 // never reorders any single accumulation chain: c[i][j] still receives
@@ -100,50 +97,8 @@ void gemv_columns_avx2(const double* a, std::size_t lda, std::size_t m,
   }
 }
 
-// ---------------------------------------------------------------------------
-// f32 kernels — error-budgeted, FMA on purpose.
-// ---------------------------------------------------------------------------
-
-void gemm_row_block_f32_avx2(const float* a, std::size_t lda, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t i0, std::size_t i1, std::size_t k0,
-                             std::size_t k1, std::size_t n) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::size_t k = k0; k < k1; ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0f) continue;
-      const float* brow = b + k * ldb;
-      const __m256 av = _mm256_set1_ps(aik);
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 bv = _mm256_loadu_ps(brow + j);
-        __m256 cv = _mm256_loadu_ps(crow + j);
-        cv = _mm256_fmadd_ps(av, bv, cv);
-        _mm256_storeu_ps(crow + j, cv);
-      }
-      for (; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void axpy_f32_avx2(std::size_t n, float a, const float* x, float* y) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    __m256 yv = _mm256_loadu_ps(y + i);
-    yv = _mm256_fmadd_ps(av, xv, yv);
-    _mm256_storeu_ps(y + i, yv);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-constexpr SimdOps kAvx2Ops = {
-    "avx2",          gemm_row_block_avx2,     gemv_avx2,
-    gemv_columns_avx2, gemm_row_block_f32_avx2, axpy_f32_avx2,
-};
+constexpr SimdOps kAvx2Ops = {"avx2", gemm_row_block_avx2, gemv_avx2,
+                              gemv_columns_avx2};
 
 }  // namespace
 
@@ -151,7 +106,7 @@ const SimdOps* avx2_ops() noexcept { return &kAvx2Ops; }
 
 }  // namespace dsml::linalg::simd
 
-#else  // the build requested this TU without AVX2+FMA codegen flags
+#else  // the build requested this TU without AVX2 codegen flags
 
 namespace dsml::linalg::simd {
 const SimdOps* avx2_ops() noexcept { return nullptr; }

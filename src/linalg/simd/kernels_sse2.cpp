@@ -1,8 +1,7 @@
 // SSE2 kernel table — the fallback vector backend for x86 CPUs without
-// AVX2+FMA. Compiled with -msse2 -ffp-contract=off; the same bit-identity
-// rules as kernels_avx2.cpp apply (explicit mul then add, two lanes of
-// independent accumulation chains). SSE2 has no FMA, so the f32 kernels pair
-// mul/add too — they just give up the fused rounding, not correctness.
+// AVX2. Compiled with -msse2 -ffp-contract=off; the same bit-identity rules
+// as kernels_avx2.cpp apply (explicit mul then add, two lanes of independent
+// accumulation chains).
 #include "linalg/simd/simd_kernels.hpp"
 
 #if defined(__SSE2__)
@@ -82,46 +81,8 @@ void gemv_columns_sse2(const double* a, std::size_t lda, std::size_t m,
   }
 }
 
-void gemm_row_block_f32_sse2(const float* a, std::size_t lda, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t i0, std::size_t i1, std::size_t k0,
-                             std::size_t k1, std::size_t n) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (std::size_t k = k0; k < k1; ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0f) continue;
-      const float* brow = b + k * ldb;
-      const __m128 av = _mm_set1_ps(aik);
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const __m128 bv = _mm_loadu_ps(brow + j);
-        __m128 cv = _mm_loadu_ps(crow + j);
-        cv = _mm_add_ps(cv, _mm_mul_ps(av, bv));
-        _mm_storeu_ps(crow + j, cv);
-      }
-      for (; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void axpy_f32_sse2(std::size_t n, float a, const float* x, float* y) {
-  const __m128 av = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 xv = _mm_loadu_ps(x + i);
-    __m128 yv = _mm_loadu_ps(y + i);
-    yv = _mm_add_ps(yv, _mm_mul_ps(av, xv));
-    _mm_storeu_ps(y + i, yv);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-constexpr SimdOps kSse2Ops = {
-    "sse2",          gemm_row_block_sse2,     gemv_sse2,
-    gemv_columns_sse2, gemm_row_block_f32_sse2, axpy_f32_sse2,
-};
+constexpr SimdOps kSse2Ops = {"sse2", gemm_row_block_sse2, gemv_sse2,
+                              gemv_columns_sse2};
 
 }  // namespace
 

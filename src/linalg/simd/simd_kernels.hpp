@@ -6,14 +6,12 @@
 // (nothing but <cstddef>) so the vector TUs depend on no other linalg header
 // and the linalg_simd layer stays a leaf under common.
 //
-// Bit-identity contract for the double kernels: every operation pairs an
-// explicit vector multiply with an explicit vector add (never a fused
-// multiply-add), vectorized across *independent* output elements, so each
-// scalar accumulation chain sees exactly the same sequence of IEEE roundings
-// as the blocked kernels in kernels.cpp. The TUs are compiled with
-// -ffp-contract=off so the compiler cannot re-fuse those pairs. The f32
-// kernels are exempt from that contract — they serve the error-budgeted f32
-// inference path and use FMA on purpose.
+// Bit-identity contract: every operation pairs an explicit vector multiply
+// with an explicit vector add (never a fused multiply-add), vectorized across
+// *independent* output elements, so each scalar accumulation chain sees
+// exactly the same sequence of IEEE roundings as the blocked kernels in
+// kernels.cpp. The TUs are compiled with -ffp-contract=off so the compiler
+// cannot re-fuse those pairs.
 #pragma once
 
 #include <cstddef>
@@ -45,19 +43,9 @@ struct SimdOps {
   void (*gemv_columns)(const double* a, std::size_t lda, std::size_t m,
                        const std::size_t* cols, std::size_t n_cols,
                        const double* beta, double* y);
-
-  /// f32 row block of C += A * B (layout as gemm_row_block). FMA allowed:
-  /// the f32 path is error-budgeted, not bit-pinned.
-  void (*gemm_row_block_f32)(const float* a, std::size_t lda, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t i0, std::size_t i1, std::size_t k0,
-                             std::size_t k1, std::size_t n);
-
-  /// y[i] += a * x[i] over n floats (the f32 LR column-accumulate kernel).
-  void (*axpy_f32)(std::size_t n, float a, const float* x, float* y);
 };
 
-/// The AVX2+FMA table, or nullptr when this build carries no AVX2 TU.
+/// The AVX2 table, or nullptr when this build carries no AVX2 TU.
 /// Callers must still gate on cpuid before using it.
 const SimdOps* avx2_ops() noexcept;
 

@@ -47,12 +47,6 @@ Mlp::Mlp(std::size_t n_inputs, std::vector<std::size_t> hidden, Rng& rng)
   }
 }
 
-Mlp::LayerView Mlp::layer_view(std::size_t index) const {
-  DSML_REQUIRE(index < layers_.size(), "Mlp::layer_view: layer out of range");
-  const Layer& layer = layers_[index];
-  return {&layer.w, layer.b, layer.output};
-}
-
 std::size_t Mlp::parameter_count() const noexcept {
   std::size_t n = 0;
   for (const auto& layer : layers_) {

@@ -92,16 +92,6 @@ class Mlp {
   /// (biases exempt).
   void prune_smallest_weights(double fraction);
 
-  /// Read-only view of one layer's parameters, for snapshot builders (the
-  /// f32 serving path converts weights once at registry-load time).
-  struct LayerView {
-    const linalg::Matrix* weights = nullptr;  ///< fan_out x fan_in row-major
-    std::span<const double> bias;
-    bool output = false;  ///< linear activation if true, sigmoid otherwise
-  };
-  std::size_t layer_count() const noexcept { return layers_.size(); }
-  LayerView layer_view(std::size_t index) const;
-
   /// Persist weights/masks/topology; momentum buffers reset on load.
   void save(serial::Writer& writer) const;
   static Mlp load(serial::Reader& reader);

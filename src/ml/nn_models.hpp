@@ -69,10 +69,6 @@ class NeuralRegressor final : public Regressor {
 
   const Options& options() const noexcept { return options_; }
 
-  /// The fitted feature encoder (read-only; snapshot builders such as the
-  /// f32 serving path fold its scaling into their own tables).
-  const data::Encoder& encoder() const noexcept { return encoder_; }
-
   /// Persist / restore a fitted model (see ml/serialize.hpp for the
   /// file-level facade).
   void save(serial::Writer& writer) const;

@@ -1,14 +1,12 @@
 // Pins the runtime kernel-dispatch contract (linalg/backend.hpp): every
 // backend produces bit-identical double results over shapes that exercise
 // full vector lanes AND scalar remainders, the selection priority order
-// (override > DSML_BACKEND > cpuid) holds, and the float32 serving path
-// stays inside its 1e-5 relative error budget on Table-3-shaped models.
+// (override > DSML_BACKEND > cpuid) holds.
 #include "linalg/backend.hpp"
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -17,9 +15,7 @@
 #include "data/dataset.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
-#include "ml/f32.hpp"
 #include "ml/linreg.hpp"
-#include "ml/model_zoo.hpp"
 #include "sim/config.hpp"
 
 namespace dsml::linalg {
@@ -225,78 +221,6 @@ TEST(Backend, LinearRegressionPredictBackendInvariant) {
   }
   EXPECT_TRUE(same_bits(results[0], results[1]));
   EXPECT_TRUE(same_bits(results[0], results[2]));
-}
-
-// --- Float32 path: error budget and edge cases -----------------------------
-
-data::Dataset table3_space() {
-  const auto configs = sim::enumerate_design_space();
-  std::vector<double> cycles;
-  Rng noise(29);
-  for (const auto& c : configs) {
-    double v = 4.0e6;
-    v -= 1.0e4 * std::log2(static_cast<double>(c.l1d_size_kb));
-    v -= 2.0e3 * static_cast<double>(c.width);
-    v *= 1.0 + 0.02 * noise.uniform(-1.0, 1.0);
-    cycles.push_back(v);
-  }
-  return sim::make_config_dataset(configs, std::move(cycles));
-}
-
-// Property: for every Table-3 model family with an f32 path, snapshot
-// predictions stay within 1e-5 relative error of the double path over the
-// whole design space.
-TEST(BackendF32, ErrorBudgetOnTable3Models) {
-  const data::Dataset full = table3_space();
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < full.n_rows(); i += 7) idx.push_back(i);
-  const data::Dataset train = full.select_rows(idx);
-
-  for (const char* name : {"LR-E", "LR-S", "LR-F", "LR-B", "NN-Q"}) {
-    ml::ZooOptions zoo;
-    zoo.nn_epoch_scale = 0.05;  // budget test, not an accuracy test
-    std::unique_ptr<ml::Regressor> model = ml::make_model(name, zoo).make();
-    model->fit(train);
-    const std::unique_ptr<ml::F32Predictor> f32 =
-        ml::make_f32_predictor(*model);
-    ASSERT_NE(f32, nullptr) << name;
-    const std::vector<double> d = model->predict(full);
-    const std::vector<double> f = f32->predict(full);
-    ASSERT_EQ(d.size(), f.size());
-    double max_rel = 0.0;
-    for (std::size_t r = 0; r < d.size(); ++r) {
-      max_rel = std::max(max_rel, std::abs(f[r] - d[r]) /
-                                      std::max(std::abs(d[r]), 1e-12));
-    }
-    EXPECT_LE(max_rel, 1e-5) << name;
-  }
-}
-
-TEST(BackendF32, SnapshotIsBackendInvariantWithinBudget) {
-  // The f32 kernels may use FMA (they are error-budgeted, not bit-pinned),
-  // so across backends we assert the budget, not bit-identity.
-  const data::Dataset full = table3_space();
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < full.n_rows(); i += 7) idx.push_back(i);
-  ml::LinearRegression model;
-  model.fit(full.select_rows(idx));
-  const std::unique_ptr<ml::F32Predictor> f32 = ml::make_f32_predictor(model);
-  ASSERT_NE(f32, nullptr);
-  const std::vector<double> d = model.predict(full);
-  for (Backend backend : kAll) {
-    ScopedBackend pin(backend);
-    const std::vector<double> f = f32->predict(full);
-    for (std::size_t r = 0; r < d.size(); ++r) {
-      ASSERT_LE(std::abs(f[r] - d[r]),
-                1e-5 * std::max(std::abs(d[r]), 1e-12))
-          << to_string(backend) << " row " << r;
-    }
-  }
-}
-
-TEST(BackendF32, UnfittedModelThrows) {
-  const ml::LinearRegression unfitted;
-  EXPECT_THROW(ml::make_f32_predictor(unfitted), InvalidArgument);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -152,6 +151,42 @@ TEST_F(CliTest, MissingOptionValueFails) {
   const auto result = run_cli({"sweep", "--app"});
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("missing value"), std::string::npos);
+}
+
+TEST_F(CliTest, UnknownFlagsFailNamingCommandAndFlag) {
+  // Every command rejects a flag it does not read, before doing any work, so
+  // a typo never runs silently with the flag's default. `serve --f32
+  // --models ...` must name --f32, not read --models as its value.
+  const std::string model =
+      "applu=" + std::string(DSML_REPO_ROOT) + "/tests/data/serve/model.dsml";
+  const struct {
+    std::vector<std::string> args;
+    const char* named;
+  } cases[] = {
+      {{"list", "--no-such-flag", "1"}, "--no-such-flag"},
+      {{"sweep", "--app", "applu", "--fulll", "40000"}, "--fulll"},
+      {{"sampled", "--rate", "0.02"}, "--rate"},
+      {{"chrono", "--family", "pd", "--familly", "xeon"}, "--familly"},
+      {{"train", "--models", "LR-B"}, "--models"},
+      {{"predict", "--model", "m.dsml", "--topp", "3"}, "--topp"},
+      {{"serve", "--models", model, "--batchh", "4"}, "--batchh"},
+      {{"serve", "--f32", "--models", model}, "--f32"},
+      {{"serve", "--models", model, "--f32", "1"}, "--f32"},
+      {{"worker", "--listen", "0", "--stall", "5"}, "--stall"},
+      {{"dse", "--sampler", "random", "--budgett", "10"}, "--budgett"},
+      {{"fleet", "--app", "mcf", "--worker", "2"}, "--worker"},
+      {{"loadgen", "--connect", "127.0.0.1:1", "--conections", "2"},
+       "--conections"},
+      {{"bench", "--fast", "--jsn", "out.json"}, "--jsn"},
+      {{"list", "stray"}, "'stray'"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run_cli(c.args, "");
+    EXPECT_EQ(result.exit_code, 1) << c.args[0] << " " << c.named;
+    EXPECT_NE(result.err.find(c.args[0] + ": "), std::string::npos)
+        << result.err;
+    EXPECT_NE(result.err.find(c.named), std::string::npos) << result.err;
+  }
 }
 
 TEST_F(CliTest, ListEnumeratesEverything) {
@@ -431,7 +466,6 @@ TEST_F(CliTest, UsageMentionsBackendFlag) {
   const auto result = run_cli({"help"});
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.out.find("--backend"), std::string::npos);
-  EXPECT_NE(result.out.find("--f32"), std::string::npos);
 }
 
 TEST_F(CliTest, StatsDumpsMetricsRegistry) {
@@ -544,43 +578,6 @@ TEST_F(CliTest, ServeAnswersRequestsAndSurvivesBadLines) {
   EXPECT_NE(unknown.at("error").as_string().find("nope"), std::string::npos);
 
   EXPECT_FALSE(std::getline(lines, line));  // exactly one line per request
-  std::filesystem::remove(model_path);
-}
-
-TEST_F(CliTest, ServeF32FlagServesWithinErrorBudget) {
-  const auto tmp = std::filesystem::temp_directory_path();
-  const std::string model_path =
-      (tmp / "dsml_cli_serve_f32_model.dsml").string();
-  auto train_args = tiny_sweep_args();
-  train_args.insert(train_args.begin(),
-                    {"train", "--app", "applu", "--rate", "0.02", "--model",
-                     "LR-B", "--out", model_path});
-  ASSERT_EQ(run_cli(train_args).exit_code, 0);
-
-  const std::string input =
-      "{\"rows\": [" + design_row_json(0) + "," + design_row_json(7) + "]}\n";
-  const auto via_double =
-      run_cli({"serve", "--models", "applu=" + model_path}, input);
-  const auto via_f32 =
-      run_cli({"serve", "--f32", "--models", "applu=" + model_path}, input);
-  ASSERT_EQ(via_double.exit_code, 0) << via_double.err;
-  ASSERT_EQ(via_f32.exit_code, 0) << via_f32.err;
-  EXPECT_NE(via_f32.err.find("[f32]"), std::string::npos);
-  EXPECT_EQ(via_double.err.find("[f32]"), std::string::npos);
-
-  const json::Value double_response =
-      json::Value::parse(via_double.out.substr(0, via_double.out.find('\n')));
-  const json::Value f32_response =
-      json::Value::parse(via_f32.out.substr(0, via_f32.out.find('\n')));
-  const auto& d = double_response.at("predictions").items();
-  const auto& f = f32_response.at("predictions").items();
-  ASSERT_EQ(d.size(), f.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    const double dv = d[i].as_number();
-    const double fv = f[i].as_number();
-    EXPECT_LE(std::abs(fv - dv), 1e-5 * std::max(std::abs(dv), 1e-12))
-        << "row " << i;
-  }
   std::filesystem::remove(model_path);
 }
 

@@ -257,105 +257,6 @@ TEST(Session, FailedBatchDegradesToPerRowRetry) {
   }
 }
 
-// A fitted Regressor outside the LR/NN families: make_f32_predictor returns
-// nullptr for it, so an f32 session must silently serve double.
-class MeanModel final : public ml::Regressor {
- public:
-  void fit(const data::Dataset& train) override {
-    double sum = 0.0;
-    for (double v : train.target()) sum += v;
-    mean_ = sum / static_cast<double>(train.n_rows());
-    fitted_ = true;
-  }
-  std::vector<double> predict(const data::Dataset& dataset) const override {
-    return std::vector<double>(dataset.n_rows(), mean_);
-  }
-  std::string name() const override { return "mean"; }
-  bool fitted() const noexcept override { return fitted_; }
-
- private:
-  double mean_ = 0.0;
-  bool fitted_ = false;
-};
-
-TEST(Registry, BuildsF32SnapshotForSupportedModels) {
-  const data::Dataset train = make_train(24);
-  ModelRegistry registry;
-  registry.register_model("lr", fit_model(train, "LR-B"), Schema::of(train));
-  registry.register_model("nn", fit_model(train, "NN-E"), Schema::of(train));
-  EXPECT_NE(registry.get("lr")->f32, nullptr);
-  EXPECT_NE(registry.get("nn")->f32, nullptr);
-
-  auto mean = std::make_shared<MeanModel>();
-  mean->fit(train);
-  registry.register_model("mean", mean, Schema::of(train));
-  EXPECT_EQ(registry.get("mean")->f32, nullptr);
-}
-
-TEST(Session, F32SessionMatchesSnapshotAndStaysInBudget) {
-  const data::Dataset train = make_train(64);
-  ModelRegistry registry;
-  const auto model = fit_model(train, "LR-B");
-  registry.register_model("m", model, Schema::of(train));
-
-  SessionOptions options;
-  options.use_f32 = true;
-  InferenceSession session(registry, "m", options);
-  const std::vector<double> via_session = session.predict(train);
-
-  // The session adds batching, never arithmetic: bit-identical to the
-  // snapshot's own predict, within the 1e-5 budget of the double path.
-  const std::vector<double> direct_f32 =
-      registry.get("m")->f32->predict(train);
-  const std::vector<double> direct_double = model->predict(train);
-  ASSERT_EQ(via_session.size(), direct_f32.size());
-  for (std::size_t i = 0; i < via_session.size(); ++i) {
-    EXPECT_EQ(via_session[i], direct_f32[i]) << "row " << i;
-    EXPECT_LE(std::abs(via_session[i] - direct_double[i]),
-              1e-5 * std::max(std::abs(direct_double[i]), 1e-12))
-        << "row " << i;
-  }
-}
-
-TEST(Session, F32RequestFallsBackToDoubleWithoutSnapshot) {
-  const data::Dataset train = make_train(16);
-  ModelRegistry registry;
-  auto mean = std::make_shared<MeanModel>();
-  mean->fit(train);
-  registry.register_model("mean", mean, Schema::of(train));
-
-  SessionOptions options;
-  options.use_f32 = true;
-  InferenceSession session(registry, "mean", options);
-  const std::vector<double> via_session = session.predict(train);
-  const std::vector<double> direct = mean->predict(train);
-  ASSERT_EQ(via_session.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_session[i], direct[i]) << "row " << i;  // double exactly
-  }
-}
-
-TEST(Session, DegradedRowsUseTheDoubleModelEvenInF32Sessions) {
-  const data::Dataset train = make_train(12);
-  ModelRegistry registry;
-  const auto model = fit_model(train, "LR-B");
-  registry.register_model("m", model, Schema::of(train));
-
-  SessionOptions options;
-  options.use_f32 = true;
-  InferenceSession session(registry, "m", options);
-  failpoint::ScopedFailpoints arm("engine.session.flush=nth:1");
-  const BatchOutcome outcome = session.predict_detailed(train);
-  EXPECT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome.degraded);
-  const std::vector<double> direct_double = model->predict(train);
-  ASSERT_EQ(outcome.values.size(), direct_double.size());
-  for (std::size_t i = 0; i < direct_double.size(); ++i) {
-    // Per-row retry is the double path exactly, not the f32 snapshot.
-    EXPECT_EQ(outcome.values[i], direct_double[i]) << "row " << i;
-  }
-}
-
 TEST(Session, ConcurrentRequestsCoalesceAndStayBitIdentical) {
   // The tsan-label workhorse: many threads share one session against one
   // registry entry; whatever batch compositions the leader/follower protocol

@@ -48,12 +48,12 @@ TEST(LintFixtures, FloatAccumScopedToMlAndLinalg) {
   EXPECT_EQ(run_paths({kFixtures + "/src/ml/bad_float.cpp"}, nullptr), 1);
 }
 
-TEST(LintFixtures, FloatAccumExemptsF32NamedSources) {
-  // The float32 serving path is float by contract; f32-named sources under
-  // src/ml are carved out of float-accum entirely.
-  const auto d = lint_file(kFixtures + "/src/ml/f32_clean.cpp");
-  EXPECT_FALSE(has_rule(d, "float-accum"));
-  EXPECT_EQ(run_paths({kFixtures + "/src/ml/f32_clean.cpp"}, nullptr), 0);
+TEST(LintFixtures, FloatAccumFlagsF32NamedSources) {
+  // No file name is exempt: an f32-named source under src/ml is flagged
+  // like any other.
+  const auto d = lint_file(kFixtures + "/src/ml/bad_f32_named.cpp");
+  EXPECT_TRUE(has_rule(d, "float-accum"));
+  EXPECT_EQ(run_paths({kFixtures + "/src/ml/bad_f32_named.cpp"}, nullptr), 1);
 }
 
 TEST(LintFixtures, IntrinsicsOutsideSimd) {
@@ -193,6 +193,8 @@ TEST(LintCli, WalkingFixtureDirectoryFindsEveryRule) {
 TEST(LintSource, FloatAllowedOutsideNumericCode) {
   const std::string source = "float fast_path(float x) { return x; }\n";
   EXPECT_TRUE(has_rule(lint_source("src/linalg/kernel.cpp", source),
+                       "float-accum"));
+  EXPECT_TRUE(has_rule(lint_source("src/linalg/simd/kernels_avx2.cpp", source),
                        "float-accum"));
   EXPECT_FALSE(has_rule(lint_source("src/sim/cache.cpp", source),
                         "float-accum"));

@@ -410,80 +410,6 @@ Section bench_engine_session(json::Writer& w, const data::Dataset& full,
   return s;
 }
 
-// ------------------------------------------------------------ f32 session --
-
-/// The float32 serving path against the default double path, both through a
-/// real InferenceSession (registry lookup, admission, one coalesced batch).
-/// The f32 session must stay inside the documented 1e-5 relative error
-/// budget — that bound is this section's `equivalent` gate, enforced by
-/// `dsml bench --check` like every bit-identity gate — and earns its keep as
-/// throughput: the snapshot folds encoder scaling into the weights at
-/// registration, so serving touches only the selected columns in float32.
-Section bench_f32_session(json::Writer& w, const data::Dataset& full,
-                          const data::Dataset& train, bool fast) {
-  engine::ModelRegistry registry;
-  {
-    std::unique_ptr<ml::Regressor> model = ml::make_model("LR-B").make();
-    model->fit(train);
-    registry.register_model(
-        "bench", std::shared_ptr<const ml::Regressor>(std::move(model)),
-        engine::Schema::of(train), "bench");
-  }
-  const std::shared_ptr<const engine::ModelEntry> entry =
-      registry.get("bench");
-
-  const std::size_t rows = fast ? 512 : full.n_rows();
-  std::vector<std::size_t> idx(rows);
-  for (std::size_t i = 0; i < rows; ++i) idx[i] = i;
-  const data::Dataset space = full.select_rows(idx);
-
-  engine::SessionOptions sopt;
-  sopt.max_batch_rows = rows;
-  sopt.max_queue_rows = 4 * rows;
-  engine::InferenceSession double_session(registry, "bench", sopt);
-  sopt.use_f32 = true;
-  engine::InferenceSession f32_session(registry, "bench", sopt);
-
-  std::vector<double> via_double;
-  const double double_s =
-      time_per_call([&] { via_double = double_session.predict(space); });
-  std::vector<double> via_f32;
-  const double f32_s =
-      time_per_call([&] { via_f32 = f32_session.predict(space); });
-
-  // The session adds batching, never arithmetic: its f32 answers must be
-  // bit-identical to the snapshot's direct predict.
-  const bool routed = entry->f32 != nullptr &&
-                      bitwise_equal(via_f32, entry->f32->predict(space));
-
-  double max_rel = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double denom = std::max(std::abs(via_double[r]), 1e-12);
-    max_rel = std::max(max_rel, std::abs(via_f32[r] - via_double[r]) / denom);
-  }
-  constexpr double kErrorBudget = 1e-5;
-
-  Section s;
-  s.name = "f32_session";
-  s.reference_ms = double_s * 1e3;
-  s.optimized_ms = f32_s * 1e3;
-  s.max_diff = max_rel;
-  s.equivalent = routed && max_rel <= kErrorBudget;
-
-  w.key("f32_session").begin_object();
-  w.field("rows", rows);
-  w.field("double_ms", s.reference_ms);
-  w.field("f32_ms", s.optimized_ms);
-  w.field("double_rows_per_sec", static_cast<double>(rows) / double_s);
-  w.field("f32_rows_per_sec", static_cast<double>(rows) / f32_s);
-  w.field("speedup", s.speedup());
-  w.field("max_rel_error", max_rel);
-  w.field("error_budget", kErrorBudget);
-  w.field("within_budget", s.equivalent);
-  w.end_object();
-  return s;
-}
-
 // -------------------------------------------------------- estimate_error ---
 
 /// The pre-parallel estimate_error loop, reproduced verbatim as the
@@ -797,7 +723,6 @@ int run(const BenchOptions& options, std::ostream& out, std::ostream& err) {
 
   sections.push_back(bench_lr_predict(w, full, train));
   sections.push_back(bench_engine_session(w, full, train, options.fast));
-  sections.push_back(bench_f32_session(w, full, train, options.fast));
   sections.push_back(bench_estimate_error(w, train, options.fast));
   sections.push_back(bench_select_fit(w, train, options.fast));
   sections.push_back(bench_dse_sampler(w, full, options.fast));

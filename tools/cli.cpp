@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "bench_ml.hpp"
@@ -54,10 +55,9 @@ namespace dsml::cli {
 
 namespace {
 
-/// Parsed "--key value" options plus positional arguments.
+/// Parsed "--key value" options.
 struct Options {
   std::map<std::string, std::string> named;
-  std::vector<std::string> positional;
 
   std::optional<std::string> get(const std::string& key) const {
     auto it = named.find(key);
@@ -70,33 +70,43 @@ struct Options {
   }
 };
 
+/// The flags one command reads (names without the leading "--").
+using Flags = std::vector<std::string_view>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// Parses the "--key value" pairs after the command name args[0]. A flag
+/// outside `known`, or a bare argument, throws InvalidArgument naming the
+/// command and the offender: a mistyped flag must fail, not run silently
+/// with its default. `fast` and `truth` may appear bare ("--fast" ==
+/// "--fast 1"), so `bench --fast --trace t.json` reads naturally; every
+/// other flag requires a value.
 Options parse_options(const std::vector<std::string>& args,
-                      std::size_t begin) {
+                      const Flags& known) {
+  const std::string& command = args[0];
   Options out;
-  for (std::size_t i = begin; i < args.size(); ++i) {
+  for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string key = a.substr(2);
-      // Boolean flags may appear bare ("--fast" == "--fast 1"), so
-      // `bench --fast --trace t.json` reads naturally; every other flag
-      // still requires an explicit value.
-      static const std::set<std::string> kBooleanFlags = {"fast", "f32",
-                                                          "truth"};
-      if (kBooleanFlags.count(key)) {
-        if (i + 1 < args.size() &&
-            (args[i + 1] == "0" || args[i + 1] == "1")) {
-          out.named[key] = args[++i];
-        } else {
-          out.named[key] = "1";
-        }
-      } else {
-        if (i + 1 >= args.size()) {
-          throw InvalidArgument("missing value for --" + key);
-        }
-        out.named[key] = args[++i];
-      }
+    if (a.rfind("--", 0) != 0) {
+      throw InvalidArgument(command + ": unexpected argument '" + a + "'");
+    }
+    const std::string key = a.substr(2);
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw InvalidArgument(command + ": unknown flag --" + key +
+                            " (see dsml help)");
+    }
+    if (key == "fast" || key == "truth") {
+      const bool valued = i + 1 < args.size() &&
+                          (args[i + 1] == "0" || args[i + 1] == "1");
+      out.named[key] = valued ? args[++i] : "1";
     } else {
-      out.positional.push_back(a);
+      if (i + 1 >= args.size()) {
+        throw InvalidArgument("missing value for --" + key);
+      }
+      out.named[key] = args[++i];
     }
   }
   return out;
@@ -155,6 +165,9 @@ specdata::RatingTarget parse_target(const std::string& spec) {
   throw InvalidArgument("unknown target '" + spec + "' (int|fp|app:<i>)");
 }
 
+/// The flags sweep_options_from reads.
+const Flags kSweepFlags = {"full", "interval", "clusters"};
+
 dse::SweepOptions sweep_options_from(const Options& opt) {
   dse::SweepOptions sweep;
   sweep.full_trace_instructions = parse_count_flag(opt, "full", "600000");
@@ -171,7 +184,8 @@ void print_failures(const std::vector<FailureRecord>& failures,
   out << dse::format_failure_summary(failures);
 }
 
-int cmd_list(std::ostream& out) {
+int cmd_list(const std::vector<std::string>& args, std::ostream& out) {
+  parse_options(args, {});
   out << "applications:";
   for (const auto& name : workload::spec_profile_names()) out << ' ' << name;
   out << "\nfamilies: xeon p4 pd opteron opteron2 opteron4 opteron8\n";
@@ -181,7 +195,8 @@ int cmd_list(std::ostream& out) {
   return 0;
 }
 
-int cmd_sweep(const Options& opt, std::ostream& out) {
+int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(args, kSweepFlags + Flags{"app", "csv"});
   const std::string app = opt.get_or("app", "mcf");
   const dse::SweepResult sweep =
       dse::run_design_space_sweep(app, sweep_options_from(opt));
@@ -197,7 +212,9 @@ int cmd_sweep(const Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_sampled(const Options& opt, std::ostream& out) {
+int cmd_sampled(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt =
+      parse_options(args, kSweepFlags + Flags{"app", "rates", "models"});
   const std::string app = opt.get_or("app", "mcf");
   const dse::SweepResult sweep =
       dse::run_design_space_sweep(app, sweep_options_from(opt));
@@ -229,7 +246,8 @@ int cmd_sampled(const Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_chrono(const Options& opt, std::ostream& out) {
+int cmd_chrono(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(args, {"family", "target", "models"});
   const specdata::Family family = parse_family(opt.get_or("family", "xeon"));
   dse::ChronologicalOptions options;
   options.target = parse_target(opt.get_or("target", "int"));
@@ -251,7 +269,9 @@ int cmd_chrono(const Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_train(const Options& opt, std::ostream& out) {
+int cmd_train(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(
+      args, kSweepFlags + Flags{"app", "rate", "model", "out", "seed"});
   const std::string app = opt.get_or("app", "mcf");
   const double rate = strings::parse_double(opt.get_or("rate", "0.02"));
   const std::string model_name = opt.get_or("model", "NN-E");
@@ -323,7 +343,8 @@ int predict_csv(engine::InferenceSession& session,
   return 0;
 }
 
-int cmd_predict(const Options& opt, std::ostream& out) {
+int cmd_predict(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(args, {"model", "top", "csv"});
   const auto path = opt.get("model");
   if (!path) throw InvalidArgument("predict requires --model <file>");
   const std::size_t top = parse_count_flag(opt, "top", "10");
@@ -406,11 +427,11 @@ extern "C" void serve_signal_handler(int) {
   if (net::Server* server = g_signal_server.load()) server->request_stop();
 }
 
-/// Runs the TCP front-end: binds, prints the resolved endpoint, and
-/// answers framed requests through `handler` until SIGINT/SIGTERM.
-engine::ServeSummary serve_listen(const Options& opt,
-                                  engine::ServeHandler& handler,
-                                  std::ostream& err) {
+/// The flags server_options_from reads.
+const Flags kServerFlags = {"listen", "bind", "max-conns", "idle-timeout-ms"};
+
+/// The TCP front-end options `serve --listen` and `worker` share.
+net::ServerOptions server_options_from(const Options& opt) {
   net::ServerOptions options;
   options.bind_address = opt.get_or("bind", "127.0.0.1");
   const std::size_t port = parse_count_flag(opt, "listen", "0");
@@ -425,6 +446,15 @@ engine::ServeSummary serve_listen(const Options& opt,
   }
   options.idle_timeout_ms = static_cast<std::uint32_t>(
       parse_count_flag(opt, "idle-timeout-ms", "0"));
+  return options;
+}
+
+/// Runs the TCP front-end: binds, prints the resolved endpoint, and
+/// answers framed requests through `handler` until SIGINT/SIGTERM.
+engine::ServeSummary serve_listen(const Options& opt,
+                                  engine::ServeHandler& handler,
+                                  std::ostream& err) {
+  const net::ServerOptions options = server_options_from(opt);
   net::Server server(options,
                      [&](std::string_view line) { return handler.handle(line); });
   err << "listening on " << options.bind_address << ":" << server.port()
@@ -450,8 +480,10 @@ engine::ServeSummary serve_listen(const Options& opt,
 /// `--listen <port>`, from TCP connections until SIGINT/SIGTERM. Protocol
 /// output goes to `out` / the socket only (one response per line,
 /// golden-diffable); operational banners go to `err`.
-int cmd_serve(const Options& opt, std::istream& in, std::ostream& out,
-              std::ostream& err) {
+int cmd_serve(const std::vector<std::string>& args, std::istream& in,
+              std::ostream& out, std::ostream& err) {
+  const Options opt = parse_options(
+      args, kServerFlags + Flags{"models", "default", "batch", "queue"});
   const auto models = opt.get("models");
   if (!models) {
     throw InvalidArgument("serve requires --models name=path[,name=path...]");
@@ -464,10 +496,8 @@ int cmd_serve(const Options& opt, std::istream& in, std::ostream& out,
       opt.get_or("default", names.size() == 1 ? names.front() : "");
   options.session.max_batch_rows = parse_count_flag(opt, "batch", "512");
   options.session.max_queue_rows = parse_count_flag(opt, "queue", "4096");
-  options.session.use_f32 = opt.get_or("f32", "0") == "1";
   err << "serving " << names.size() << " model(s): "
-      << strings::join(names, ", ")
-      << (options.session.use_f32 ? " [f32]" : "") << "\n";
+      << strings::join(names, ", ") << "\n";
   engine::ServeSummary summary;
   if (opt.get("listen")) {
     engine::ServeHandler handler(registry, options);
@@ -494,25 +524,15 @@ extern "C" void worker_signal_handler(int) {
 /// ordinary serve protocol multiplexed on one port (docs/FLEET.md).
 /// --listen-fd adopts an inherited listening socket: the supervisor binds
 /// it so the port survives this process crashing.
-int cmd_worker(const Options& opt, std::ostream& err) {
+int cmd_worker(const std::vector<std::string>& args, std::ostream& err) {
+  const Options opt = parse_options(
+      args, kServerFlags + Flags{"listen-fd", "models", "stall-ms"});
   fleet::WorkerOptions options;
-  options.server.bind_address = opt.get_or("bind", "127.0.0.1");
-  const std::size_t port = parse_count_flag(opt, "listen", "0");
-  if (port > 65535) {
-    throw InvalidArgument("--listen: port must be 0..65535, got " +
-                          std::to_string(port));
-  }
-  options.server.port = static_cast<std::uint16_t>(port);
+  options.server = server_options_from(opt);
   if (opt.get("listen-fd")) {
     options.server.adopted_fd =
         static_cast<int>(parse_count_flag(opt, "listen-fd", "0"));
   }
-  options.server.max_connections = parse_count_flag(opt, "max-conns", "64");
-  if (options.server.max_connections == 0) {
-    throw InvalidArgument("--max-conns must be >= 1");
-  }
-  options.server.idle_timeout_ms = static_cast<std::uint32_t>(
-      parse_count_flag(opt, "idle-timeout-ms", "0"));
   options.stall_ms = static_cast<std::uint32_t>(
       parse_count_flag(opt, "stall-ms", "100"));
 
@@ -545,6 +565,10 @@ int cmd_worker(const Options& opt, std::ostream& err) {
       << " idle-closed\n";
   return 0;
 }
+
+/// The flags coordinator_options_from reads.
+const Flags kCoordinatorFlags =
+    kSweepFlags + Flags{"connect-timeout-ms", "timeout-ms", "retries"};
 
 fleet::CoordinatorOptions coordinator_options_from(const Options& opt) {
   fleet::CoordinatorOptions options;
@@ -750,7 +774,12 @@ int cmd_dse_campaign(const Options& opt, const std::string& app,
 ///                               (StateError) if coverage cannot be
 ///                               completed, never with a silently partial
 ///                               table.
-int cmd_dse(const Options& opt, std::ostream& out) {
+int cmd_dse(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(
+      args, kCoordinatorFlags +
+                Flags{"app", "workers", "csv", "sampler", "budget",
+                      "sample-rate", "rounds", "objective", "models", "seed",
+                      "truth"});
   const std::string app = opt.get_or("app", "mcf");
   if (const auto sampler = opt.get("sampler")) {
     return cmd_dse_campaign(opt, app, *sampler, out);
@@ -771,7 +800,11 @@ int cmd_dse(const Options& opt, std::ostream& out) {
 /// worker --listen-fd` children (respawning crashed ones with capped
 /// exponential backoff), run the sharded sweep against them, then stop the
 /// fleet. One command, end to end, for the distributed-DSE smoke test.
-int cmd_fleet(const Options& opt, std::ostream& out, std::ostream& err) {
+int cmd_fleet(const std::vector<std::string>& args, std::ostream& out,
+              std::ostream& err) {
+  const Options opt = parse_options(
+      args, kCoordinatorFlags + Flags{"app", "workers", "bind", "port-base",
+                                      "max-respawns", "models", "csv"});
   const std::string app = opt.get_or("app", "mcf");
   fleet::SupervisorOptions sup;
   sup.workers = parse_count_flag(opt, "workers", "3");
@@ -834,7 +867,11 @@ int cmd_fleet(const Options& opt, std::ostream& out, std::ostream& err) {
 /// `dsml loadgen --connect host:port`: drives a running `dsml serve
 /// --listen` front-end with concurrent connections and reports latency
 /// percentiles, throughput, and the BENCH_SERVE.json perf baseline.
-int cmd_loadgen(const Options& opt, std::ostream& out, std::ostream& err) {
+int cmd_loadgen(const std::vector<std::string>& args, std::ostream& out,
+                std::ostream& err) {
+  const Options opt = parse_options(
+      args, {"connect", "connections", "requests", "rows", "timeout-ms",
+             "model", "json", "check"});
   const auto endpoint = opt.get("connect");
   if (!endpoint) {
     throw InvalidArgument("loadgen requires --connect host:port");
@@ -870,7 +907,9 @@ int cmd_loadgen(const Options& opt, std::ostream& out, std::ostream& err) {
   return loadgen::run(options, out, err);
 }
 
-int cmd_bench(const Options& opt, std::ostream& out, std::ostream& err) {
+int cmd_bench(const std::vector<std::string>& args, std::ostream& out,
+              std::ostream& err) {
+  const Options opt = parse_options(args, {"json", "check", "fast"});
   bench_ml::BenchOptions options;
   options.json_path = opt.get_or("json", "");
   options.check_path = opt.get_or("check", "");
@@ -912,16 +951,15 @@ std::string usage() {
       "\n"
       "commands:\n"
       "  list                              enumerate apps, families, models\n"
-      "  sweep   --app A [--full N --interval N --clusters K] [--csv F]\n"
-      "  sampled --app A [--rates R1,R2] [--models M1,M2]\n"
+      "  sweep   --app A [SWEEP] [--csv F]\n"
+      "  sampled --app A [--rates R1,R2] [--models M1,M2] [SWEEP]\n"
       "  chrono  --family F [--target int|fp|app:<i>] [--models M1,M2]\n"
-      "  train   --app A --rate R --model M --out F [--seed S]\n"
+      "  train   --app A --rate R --model M --out F [--seed S] [SWEEP]\n"
       "  predict --model F [--top N] [--csv F]   rank the design space, or\n"
       "                                    score CSV rows, via the engine\n"
       "  serve   --models N=F[,N=F...] [--default N] [--batch N] [--queue N]\n"
-      "          [--f32]                serve via float32 weight snapshots\n"
-      "                                 (<= 1e-5 rel. error; double default)\n"
-      "          [--listen P [--bind A] [--max-conns N]]\n"
+      "          [--listen P [--bind A] [--max-conns N]\n"
+      "          [--idle-timeout-ms N]]\n"
       "                                    JSON-lines requests on stdin ->\n"
       "                                    predictions on stdout, or over TCP\n"
       "                                    with --listen (see docs/SERVING.md)\n"
@@ -933,21 +971,21 @@ std::string usage() {
       "                                    (see docs/FLEET.md)\n"
       "  dse     --app A --sampler random|adaptive [--budget N | \n"
       "          --sample-rate R] [--rounds K] [--objective cycles|pareto]\n"
-      "          [--models M1,M2] [--seed S] [--truth] [--workers H:P,...]\n"
+      "          [--models M1,M2] [--seed S] [--truth] [SWEEP]\n"
+      "          [--workers H:P,... [FLEET]]\n"
       "                                    campaign mode: select/evaluate/\n"
       "                                    retrain/score rounds against a\n"
       "                                    local, cached-truth (--truth), or\n"
       "                                    fleet (--workers) evaluator\n"
       "                                    (see docs/DSE.md)\n"
-      "  dse     --app A --workers H:P[,H:P...] [--full N --interval N\n"
-      "          --clusters K] [--csv F] [--timeout-ms N] [--retries N]\n"
-      "          [--connect-timeout-ms N]\n"
+      "  dse     --app A --workers H:P[,H:P...] [SWEEP] [--csv F] [FLEET]\n"
       "                                    shard the full design-space sweep\n"
       "                                    across a worker fleet; fault-\n"
       "                                    tolerant merge (complete table or\n"
       "                                    loud error)\n"
-      "  fleet   --app A [--workers N] [--port-base P] [--models N=F,...]\n"
-      "          [--max-respawns N] [--csv F]\n"
+      "  fleet   --app A [--workers N] [--bind A] [--port-base P]\n"
+      "          [--models N=F,...] [--max-respawns N] [SWEEP] [--csv F]\n"
+      "          [FLEET]\n"
       "                                    supervise a local worker fleet\n"
       "                                    (crash -> respawn with backoff) and\n"
       "                                    run the sharded sweep against it\n"
@@ -962,10 +1000,18 @@ std::string usage() {
       "                                    run the dsml-lint project analyzer\n"
       "                                    (see docs/STATIC_ANALYSIS.md)\n"
       "\n"
+      "  SWEEP = --full N --interval N --clusters K\n"
+      "                     simulated trace length, SimPoint interval, and\n"
+      "                     SimPoint cap (defaults 600000, 30000, 4)\n"
+      "  FLEET = --timeout-ms N --retries N --connect-timeout-ms N\n"
+      "                     shard I/O deadline, assignment rounds, and\n"
+      "                     connect/ping deadline (defaults 120000, 3, 2000)\n"
+      "  Every command rejects flags it does not list.\n"
+      "\n"
       "global options:\n"
       "  --backend B        pin the linalg kernel backend: naive | blocked |\n"
       "                     simd (default: DSML_BACKEND env, else cpuid;\n"
-      "                     all backends are bit-identical for double)\n"
+      "                     all backends are bit-identical)\n"
       "  --trace F          collect a Chrome trace (chrome://tracing) into F\n"
       "  --failpoints SPEC  arm fault-injection points, e.g.\n"
       "                     'estimate_error.fold=nth:2,linreg.solve=prob:0.1@7'\n"
@@ -986,21 +1032,36 @@ int dispatch(const std::vector<std::string>& args, std::istream& in,
   if (cmd == "stats") {
     return cmd_stats({args.begin() + 1, args.end()}, in, out, err);
   }
-  const Options opt = parse_options(args, 1);
-  if (cmd == "list") return cmd_list(out);
-  if (cmd == "sweep") return cmd_sweep(opt, out);
-  if (cmd == "sampled") return cmd_sampled(opt, out);
-  if (cmd == "chrono") return cmd_chrono(opt, out);
-  if (cmd == "train") return cmd_train(opt, out);
-  if (cmd == "predict") return cmd_predict(opt, out);
-  if (cmd == "serve") return cmd_serve(opt, in, out, err);
-  if (cmd == "worker") return cmd_worker(opt, err);
-  if (cmd == "dse") return cmd_dse(opt, out);
-  if (cmd == "fleet") return cmd_fleet(opt, out, err);
-  if (cmd == "loadgen") return cmd_loadgen(opt, out, err);
-  if (cmd == "bench") return cmd_bench(opt, out, err);
+  if (cmd == "list") return cmd_list(args, out);
+  if (cmd == "sweep") return cmd_sweep(args, out);
+  if (cmd == "sampled") return cmd_sampled(args, out);
+  if (cmd == "chrono") return cmd_chrono(args, out);
+  if (cmd == "train") return cmd_train(args, out);
+  if (cmd == "predict") return cmd_predict(args, out);
+  if (cmd == "serve") return cmd_serve(args, in, out, err);
+  if (cmd == "worker") return cmd_worker(args, err);
+  if (cmd == "dse") return cmd_dse(args, out);
+  if (cmd == "fleet") return cmd_fleet(args, out, err);
+  if (cmd == "loadgen") return cmd_loadgen(args, out, err);
+  if (cmd == "bench") return cmd_bench(args, out, err);
   err << "unknown command '" << cmd << "'\n" << usage();
   return 1;
+}
+
+/// Removes the first "<flag> <value>" pair from `args` and returns the value,
+/// or nullopt when `flag` is absent. A missing value (end of args, or
+/// another flag) throws "missing <what> for <flag>".
+std::optional<std::string> take_global_flag(std::vector<std::string>& args,
+                                            const std::string& flag,
+                                            const std::string& what) {
+  const auto it = std::find(args.begin(), args.end(), flag);
+  if (it == args.end()) return std::nullopt;
+  if (it + 1 == args.end() || (it + 1)->rfind("--", 0) == 0) {
+    throw InvalidArgument("missing " + what + " for " + flag);
+  }
+  std::string value = *(it + 1);
+  args.erase(it, it + 2);
+  return value;
 }
 
 }  // namespace
@@ -1021,38 +1082,13 @@ int run(const std::vector<std::string>& args, std::istream& in,
     // (any position): they are extracted here, before dispatch, so command
     // parsers (including lint's pass-through grammar) never see them.
     std::vector<std::string> rest = args;
-    std::string trace_path;
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      if (rest[i] != "--trace") continue;
-      if (i + 1 >= rest.size() || rest[i + 1].rfind("--", 0) == 0) {
-        throw InvalidArgument("missing file for --trace");
-      }
-      trace_path = rest[i + 1];
-      rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i),
-                 rest.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      break;
-    }
-    std::optional<std::string> failpoint_spec;
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      if (rest[i] != "--failpoints") continue;
-      if (i + 1 >= rest.size() || rest[i + 1].rfind("--", 0) == 0) {
-        throw InvalidArgument("missing spec for --failpoints");
-      }
-      failpoint_spec = rest[i + 1];
-      rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i),
-                 rest.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      break;
-    }
+    const std::optional<std::string> trace_path =
+        take_global_flag(rest, "--trace", "file");
+    const std::optional<std::string> failpoint_spec =
+        take_global_flag(rest, "--failpoints", "spec");
     std::optional<linalg::Backend> backend_choice;
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      if (rest[i] != "--backend") continue;
-      if (i + 1 >= rest.size() || rest[i + 1].rfind("--", 0) == 0) {
-        throw InvalidArgument("missing name for --backend");
-      }
-      backend_choice = linalg::parse_backend(rest[i + 1]);
-      rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i),
-                 rest.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-      break;
+    if (const auto name = take_global_flag(rest, "--backend", "name")) {
+      backend_choice = linalg::parse_backend(*name);
     }
     if (rest.empty()) {
       out << usage();
@@ -1066,13 +1102,13 @@ int run(const std::vector<std::string>& args, std::istream& in,
     if (failpoint_spec.has_value()) armed.emplace(*failpoint_spec);
     std::optional<linalg::ScopedBackend> backend_override;
     if (backend_choice.has_value()) backend_override.emplace(*backend_choice);
-    if (!trace_path.empty()) trace::start(trace_path);
+    if (trace_path.has_value()) trace::start(*trace_path);
     int rc;
     {
       trace::Span span([&] { return "dsml " + rest[0]; }, "cli");
       rc = dispatch(rest, in, out, err);
     }
-    if (!trace_path.empty()) trace::stop();
+    if (trace_path.has_value()) trace::stop();
     return rc;
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";

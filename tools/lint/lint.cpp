@@ -77,14 +77,6 @@ void rule_float_accum(const std::string& file, const std::string& normalized,
     return;
   }
   if (!path_has_dir(normalized, "src")) return;
-  // The float32 serving path is float *by contract* (opt-in, error-budgeted;
-  // see docs/PERFORMANCE.md): the SIMD kernel TUs and the f32-named sources
-  // are exempt. Everything else in linalg/ml stays double.
-  if (path_has_dir(normalized, "linalg/simd")) return;
-  const auto slash = normalized.find_last_of('/');
-  const std::string base =
-      slash == std::string::npos ? normalized : normalized.substr(slash + 1);
-  if (base.find("f32") != std::string::npos) return;
   static const std::regex kPattern(R"(\bfloat\b)");
   scan_lines(file, model, kPattern, "float-accum",
              "float in linalg/ml code; numeric accumulation must stay double",
@@ -93,7 +85,7 @@ void rule_float_accum(const std::string& file, const std::string& normalized,
 
 /// Flags x86 vector-intrinsic usage (immintrin/emmintrin-family includes or
 /// `_mm*` calls) under src/ or tools/ outside src/linalg/simd/. Intrinsics
-/// are platform-gated, compiled with per-TU flags (-mavx2 -mfma
+/// are platform-gated, compiled with per-TU flags (-mavx2
 /// -ffp-contract=off), and carry the bit-identity contract documented in
 /// src/linalg/simd/simd_kernels.hpp — scattering them elsewhere bypasses all
 /// three. Code with a genuine reason (e.g. a prefetch hint in a hot loop)
@@ -450,9 +442,7 @@ const std::vector<PerFileRule>& per_file_rules() {
        "randomness outside common/rng.hpp (std::rand, srand, mt19937, "
        "random_device)",
        rule_rand_source},
-      {"float-accum",
-       "float in src/linalg or src/ml numeric code (the f32 serving path "
-       "and src/linalg/simd are exempt)",
+      {"float-accum", "float anywhere in src/linalg or src/ml numeric code",
        rule_float_accum},
       {"intrinsics-outside-simd",
        "x86 vector intrinsics under src/ or tools/ outside src/linalg/simd/",
