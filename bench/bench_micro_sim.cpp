@@ -1,7 +1,11 @@
-// Micro-benchmarks of the simulator substrate (google-benchmark): timing-
-// model throughput per branch-predictor kind, cache and predictor lookup
-// costs, and trace generation speed.
+// Micro-benchmarks of the simulator substrate (google-benchmark): the
+// one-config simulate() path and its two passes apart (the functional pass
+// through caches, TLBs and predictor; the timing pass over its outcomes),
+// cache and predictor lookup costs, and trace generation speed.
 #include <benchmark/benchmark.h>
+
+#include <span>
+#include <vector>
 
 #include "sim/core.hpp"
 #include "workload/generator.hpp"
@@ -24,6 +28,39 @@ void BM_SimulateTrace(benchmark::State& state) {
   const auto& config = space[static_cast<std::size_t>(state.range(0))];
   for (auto _ : state) {
     auto result = sim::simulate(config, trace);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size()));
+}
+
+void BM_FunctionalPass(benchmark::State& state) {
+  const sim::Trace& trace = bench_trace();
+  const auto space = sim::enumerate_design_space();
+  const auto& config = space[static_cast<std::size_t>(state.range(0))];
+  const auto group = std::span(&config, 1);
+  std::vector<sim::Outcome> outcomes(trace.size());
+  for (auto _ : state) {
+    sim::FunctionalPass pass(group);  // cold structures, as in a sweep
+    auto stats = pass.run(trace.span(), outcomes);
+    benchmark::DoNotOptimize(stats);
+    benchmark::DoNotOptimize(outcomes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size()));
+}
+
+void BM_TimingPass(benchmark::State& state) {
+  const sim::Trace& trace = bench_trace();
+  const auto space = sim::enumerate_design_space();
+  const auto& config = space[static_cast<std::size_t>(state.range(0))];
+  std::vector<sim::Outcome> outcomes(trace.size());
+  sim::FunctionalPass pass(std::span(&config, 1));
+  const sim::FunctionalStats stats = pass.run(trace.span(), outcomes);
+  for (auto _ : state) {
+    auto result =
+        sim::run_timing_pass(config, {}, trace.span(), outcomes, stats);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -73,6 +110,10 @@ void BM_SimPointSelection(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SimulateTrace)->Arg(0)->Arg(1151)->Arg(4607)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FunctionalPass)->Arg(0)->Arg(1151)->Arg(4607)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TimingPass)->Arg(0)->Arg(1151)->Arg(4607)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CacheAccess);
 BENCHMARK(BM_BranchPredictor)->DenseRange(0, 3);

@@ -43,7 +43,7 @@ LocalSweepEvaluator::LocalSweepEvaluator(std::string app, SweepOptions options)
 
 SweepShard LocalSweepEvaluator::evaluate(
     const std::vector<std::size_t>& indices) {
-  return run_sweep_shard(app_, options_, indices);
+  return run_sweep_shard(app_, options_, indices, reduced_);
 }
 
 // ---------------------------------------------------------------------------

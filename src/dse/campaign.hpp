@@ -68,6 +68,8 @@ class DatasetEvaluator final : public Evaluator {
 
 /// Simulates shards in-process via run_sweep_shard (cache-sliced when a
 /// complete cached sweep exists; bit-identical to the full sweep either way).
+/// The reduced trace is built once, on the first round that simulates, and
+/// reused by every later round.
 class LocalSweepEvaluator final : public Evaluator {
  public:
   LocalSweepEvaluator(std::string app, SweepOptions options);
@@ -77,6 +79,7 @@ class LocalSweepEvaluator final : public Evaluator {
  private:
   std::string app_;
   SweepOptions options_;
+  std::optional<ReducedTrace> reduced_;
 };
 
 /// One point of a multi-objective frontier.

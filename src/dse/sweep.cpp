@@ -9,7 +9,6 @@
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "sim/core.hpp"
 #include "workload/generator.hpp"
@@ -84,15 +83,23 @@ void store_cache(const std::string& path, const SweepResult& result) {
   csv::write_file(path, table);
 }
 
-/// The deterministic front half of a sweep: generate the app's full
-/// instruction stream, pick SimPoints, extract the reduced trace. Depends
-/// only on (app, options), so every process that runs it — one sweeping
-/// locally, or each worker of a sharded fleet — simulates the identical
-/// reduced trace.
-struct ReducedTrace {
-  sim::Trace trace;
-  std::size_t simpoint_count = 0;
-};
+/// Cycle counts of `configs` on the reduced trace: the one batch call both
+/// the full sweep and its shards make.
+std::vector<double> simulate_cycles(
+    const std::vector<sim::ProcessorConfig>& configs, const sim::Trace& trace) {
+  static metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
+  const std::vector<sim::SimResult> results =
+      sim::simulate_batch(configs, trace);
+  simulated.add(configs.size());
+  std::vector<double> cycles;
+  cycles.reserve(results.size());
+  for (const sim::SimResult& r : results) {
+    cycles.push_back(static_cast<double>(r.cycles));
+  }
+  return cycles;
+}
+
+}  // namespace
 
 ReducedTrace build_reduced_trace(const std::string& app,
                                  const SweepOptions& options) {
@@ -106,8 +113,6 @@ ReducedTrace build_reduced_trace(const std::string& app,
   out.simpoint_count = points.points.size();
   return out;
 }
-
-}  // namespace
 
 SweepResult run_design_space_sweep(const std::string& app,
                                    const SweepOptions& options) {
@@ -126,21 +131,11 @@ SweepResult run_design_space_sweep(const std::string& app,
 
   trace::Stopwatch sweep_timer;
 
-  const ReducedTrace reduced_trace = build_reduced_trace(app, options);
-  const sim::Trace& reduced = reduced_trace.trace;
-
-  const std::vector<sim::ProcessorConfig> space =
-      sim::enumerate_design_space();
-  result.cycles.assign(space.size(), 0.0);
-  static metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
-  parallel_for(0, space.size(), [&](std::size_t i) {
-    const sim::SimResult r = sim::simulate(space[i], reduced);
-    simulated.add();
-    result.cycles[i] = static_cast<double>(r.cycles);
-  });
-
-  result.simpoint_count = reduced_trace.simpoint_count;
-  result.simulated_instructions = reduced.size();
+  const ReducedTrace reduced = build_reduced_trace(app, options);
+  result.cycles =
+      simulate_cycles(sim::enumerate_design_space(), reduced.trace);
+  result.simpoint_count = reduced.simpoint_count;
+  result.simulated_instructions = reduced.trace.size();
   result.seconds = sweep_timer.seconds();
   if (options.use_cache) {
     // The cache is an optimisation; failing to persist it (read-only dir,
@@ -158,6 +153,13 @@ SweepResult run_design_space_sweep(const std::string& app,
 
 SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
                            const std::vector<std::size_t>& indices) {
+  std::optional<ReducedTrace> reduced;
+  return run_sweep_shard(app, options, indices, reduced);
+}
+
+SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
+                           const std::vector<std::size_t>& indices,
+                           std::optional<ReducedTrace>& reduced) {
   DSML_REQUIRE(!indices.empty(), "run_sweep_shard: empty index set");
   DSML_REQUIRE(options.full_trace_instructions >=
                    options.interval_instructions * 2,
@@ -180,7 +182,6 @@ SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
 
   SweepShard shard;
   shard.indices = indices;
-  shard.cycles.assign(indices.size(), 0.0);
 
   if (options.use_cache) {
     // A complete cached sweep already holds this shard's answers; slice it.
@@ -189,8 +190,9 @@ SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
     SweepResult cached;
     cached.app = app;
     if (load_cached(cache_path(app, options), cached)) {
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        shard.cycles[i] = cached.cycles[indices[i]];
+      shard.cycles.reserve(indices.size());
+      for (const std::size_t idx : indices) {
+        shard.cycles.push_back(cached.cycles[idx]);
       }
       shard.simpoint_count = cached.simpoint_count;
       shard.simulated_instructions = cached.simulated_instructions;
@@ -198,18 +200,15 @@ SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
     }
   }
 
-  const ReducedTrace reduced_trace = build_reduced_trace(app, options);
+  if (!reduced) reduced = build_reduced_trace(app, options);
   const std::vector<sim::ProcessorConfig> space =
       sim::enumerate_design_space();
-  static metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
-  parallel_for(0, indices.size(), [&](std::size_t i) {
-    const sim::SimResult r =
-        sim::simulate(space[indices[i]], reduced_trace.trace);
-    simulated.add();
-    shard.cycles[i] = static_cast<double>(r.cycles);
-  });
-  shard.simpoint_count = reduced_trace.simpoint_count;
-  shard.simulated_instructions = reduced_trace.trace.size();
+  std::vector<sim::ProcessorConfig> configs;
+  configs.reserve(indices.size());
+  for (const std::size_t idx : indices) configs.push_back(space[idx]);
+  shard.cycles = simulate_cycles(configs, reduced->trace);
+  shard.simpoint_count = reduced->simpoint_count;
+  shard.simulated_instructions = reduced->trace.size();
   return shard;
 }
 

@@ -12,10 +12,12 @@
 // working directory), keyed by every input that affects the output.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "data/dataset.hpp"
+#include "sim/trace.hpp"
 #include "workload/simpoint.hpp"
 
 namespace dsml::dse {
@@ -50,6 +52,19 @@ struct SweepShard {
   std::size_t simulated_instructions = 0;
 };
 
+/// The deterministic front half of a sweep: generate the app's full
+/// instruction stream, pick SimPoints, extract the reduced trace. Depends
+/// only on (app, options), so every process that builds it — one sweeping
+/// locally, or each worker of a sharded fleet — simulates the identical
+/// reduced trace.
+struct ReducedTrace {
+  sim::Trace trace;
+  std::size_t simpoint_count = 0;
+};
+
+ReducedTrace build_reduced_trace(const std::string& app,
+                                 const SweepOptions& options);
+
 /// Resolve the cache directory (explicit option > DSML_CACHE_DIR > default).
 std::string resolve_cache_dir(const std::string& explicit_dir);
 
@@ -67,6 +82,13 @@ SweepResult run_design_space_sweep(const std::string& app,
 /// Throws InvalidArgument on an empty, duplicate, or out-of-range index set.
 SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
                            const std::vector<std::size_t>& indices);
+
+/// run_sweep_shard for a caller that runs many shards of one (app, options):
+/// `reduced` is built on the first shard that simulates (a cache slice never
+/// needs it) and reused by every later one.
+SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
+                           const std::vector<std::size_t>& indices,
+                           std::optional<ReducedTrace>& reduced);
 
 /// Reassemble a full SweepResult from shards. Requires exact coverage —
 /// every configuration present exactly once — and identical

@@ -86,6 +86,21 @@ std::string ProcessorConfig::key() const {
   return os.str();
 }
 
+FunctionalKey ProcessorConfig::functional_key() const noexcept {
+  FunctionalKey k;
+  k.l1d_size_kb = l1d_size_kb;
+  k.l1d_line_b = l1d_line_b;
+  k.l1i_size_kb = l1i_size_kb;
+  k.l1i_line_b = l1i_line_b;
+  k.l2_size_kb = l2_size_kb;
+  k.l2_assoc = l2_assoc;
+  k.l3_size_mb = l3_size_mb;
+  k.branch_predictor = branch_predictor;
+  k.issue_wrong =
+      branch_predictor != BranchPredictorKind::kPerfect && issue_wrong;
+  return k;
+}
+
 std::vector<ProcessorConfig> enumerate_design_space() {
   std::vector<ProcessorConfig> space;
   space.reserve(kDesignSpaceSize);

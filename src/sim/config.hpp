@@ -12,6 +12,7 @@
 // varies across the space. The ties are recorded in DESIGN.md.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,26 @@ struct FunctionalUnitMix {
 
   bool operator==(const FunctionalUnitMix&) const = default;
   std::string to_string() const;  ///< "4/2/2/4/2"
+};
+
+/// The fields the simulator's functional pass reads: cache geometry, branch
+/// predictor kind, and whether mispredicts touch the wrong path. validate()
+/// pins every other cache field, and a perfect predictor never mispredicts,
+/// so its key ignores issue_wrong. Configurations with equal keys see the
+/// same cache, TLB and predictor outcomes in trace order; width, RUU/LSQ,
+/// TLB reach and FU mix only change how those outcomes are timed.
+struct FunctionalKey {
+  int l1d_size_kb = 0;
+  int l1d_line_b = 0;
+  int l1i_size_kb = 0;
+  int l1i_line_b = 0;
+  int l2_size_kb = 0;
+  int l2_assoc = 0;
+  int l3_size_mb = 0;
+  BranchPredictorKind branch_predictor = BranchPredictorKind::kPerfect;
+  bool issue_wrong = false;
+
+  auto operator<=>(const FunctionalKey&) const = default;
 };
 
 /// One point of the design space: every Table-1 parameter, in natural units.
@@ -70,6 +91,11 @@ struct ProcessorConfig {
   FunctionalUnitMix fu;
 
   bool has_l3() const noexcept { return l3_size_mb > 0; }
+
+  bool operator==(const ProcessorConfig&) const = default;
+
+  /// The functional pass's share of this configuration (see FunctionalKey).
+  FunctionalKey functional_key() const noexcept;
 
   /// Validates parameter values against Table 1's menus; throws
   /// InvalidArgument on violations.

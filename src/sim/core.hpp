@@ -2,8 +2,8 @@
 //
 // This plays the role SimpleScalar's sim-outorder plays in the paper: it
 // turns (configuration, instruction trace) into a cycle count. The model is
-// a single-pass dependency/resource timing simulation in the style of
-// trace-driven "timing-first" models:
+// a dependency/resource timing simulation in the style of trace-driven
+// "timing-first" models:
 //
 //   fetch    — advances at `width` instructions/cycle, stalling on
 //              instruction-cache and ITLB misses and restarting after
@@ -21,15 +21,30 @@
 // predictor kind, widths, wrong-path issue, RUU/LSQ, TLBs, FU mix — feeds
 // into the timing, so the design space has the interactions the surrogate
 // models are supposed to learn.
+//
+// Simulation runs in two passes. Caches, TLBs and predictors change state in
+// trace order, never in timing order, so the *functional pass* walks the
+// trace through them once and records, per instruction, which level served
+// each access, the TLB misses and the mispredicts (an Outcome). The *timing
+// pass* turns those outcomes into latencies through the LatencyModel and
+// runs the width/RUU/LSQ/FU model. Configurations with one FunctionalKey
+// share a functional pass; simulate_batch groups them that way.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "sim/branch.hpp"
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
 #include "sim/trace.hpp"
+
+namespace dsml {
+class ThreadPool;
+}
 
 namespace dsml::sim {
 
@@ -73,34 +88,103 @@ struct LatencyModel {
   int mispredict_redirect = 7;  ///< resolve→refetch penalty
 };
 
+/// What the functional pass saw for one instruction, in 16 bits: whether it
+/// started a new I$ line and which level served it, whether it is a load
+/// and which level served it, a TLB miss bit per reach slot, and whether it
+/// is a mispredicted or a correctly predicted taken branch. The layout is
+/// private to the two passes (core.cpp).
+using Outcome = std::uint16_t;
+
+/// Whole-trace counters of one functional pass. TLB statistics are per
+/// reach slot: a pass models every ITLB and DTLB reach its group needs (at
+/// most two of each; 0 marks an unused slot).
+struct FunctionalStats {
+  std::uint64_t branch_count = 0;
+  std::uint64_t mispredicts = 0;
+  double l1d_miss_rate = 0.0;
+  double l1i_miss_rate = 0.0;
+  double l2_miss_rate = 0.0;
+  double l3_miss_rate = 0.0;
+  std::array<int, 2> itlb_reach_kb{};
+  std::array<double, 2> itlb_miss_rate{};
+  std::array<int, 2> dtlb_reach_kb{};
+  std::array<double, 2> dtlb_miss_rate{};
+};
+
+/// The functional pass for one group of configurations sharing a
+/// FunctionalKey: caches, TLBs and branch predictor, walked in trace order.
+/// State carries across run() calls, so a second run sees warm structures.
+class FunctionalPass {
+ public:
+  /// Throws InvalidArgument on an empty or invalid group, keys that differ,
+  /// or more than two ITLB or DTLB reaches.
+  explicit FunctionalPass(std::span<const ProcessorConfig> group);
+
+  /// Writes one Outcome per instruction of `trace` into `outcomes` (same
+  /// size) and returns the pass's counters.
+  FunctionalStats run(std::span<const Instr> trace,
+                      std::span<Outcome> outcomes);
+
+ private:
+  /// Level and TLB-miss bits of one access through `tlbs` and `l1`, then
+  /// the shared L2 and L3, updating every structure it touches.
+  Outcome access(std::uint64_t addr, std::vector<Tlb>& tlbs, Cache& l1,
+                 unsigned tlb_miss_shift, unsigned level_shift);
+
+  ProcessorConfig geometry_;
+  Cache l1d_;
+  Cache l1i_;
+  Cache l2_;
+  Cache l3_;  // constructed even when absent; gated by geometry_.has_l3()
+  std::array<int, 2> itlb_reach_kb_{};
+  std::array<int, 2> dtlb_reach_kb_{};
+  std::vector<Tlb> itlbs_;
+  std::vector<Tlb> dtlbs_;
+  std::unique_ptr<BranchPredictor> predictor_;
+};
+
+/// The timing pass: one configuration against the outcomes a functional
+/// pass of its group recorded for `trace`. Throws InvalidArgument when the
+/// pass did not model this configuration's TLB reaches.
+SimResult run_timing_pass(const ProcessorConfig& config,
+                          const LatencyModel& latency,
+                          std::span<const Instr> trace,
+                          std::span<const Outcome> outcomes,
+                          const FunctionalStats& functional);
+
+/// One configuration: a functional pass of its own, then the timing pass.
 class OutOfOrderCore {
  public:
   explicit OutOfOrderCore(const ProcessorConfig& config,
                           const LatencyModel& latency = {});
 
-  /// Simulate a trace from a cold-cache state; returns total cycles and
-  /// detailed statistics. May be called once per core instance (caches and
-  /// predictors carry state).
+  /// Simulate a trace; returns total cycles and detailed statistics. The
+  /// first call starts from cold caches and predictors; later calls keep
+  /// their state (warm-up runs rely on that).
   SimResult run(std::span<const Instr> trace);
 
  private:
-  /// Latency of a data access through the hierarchy, updating cache state.
-  int data_access_latency(std::uint64_t addr);
-  /// Latency of an instruction fetch through the hierarchy.
-  int fetch_access_latency(std::uint64_t pc);
-
   ProcessorConfig config_;
   LatencyModel lat_;
-  Cache l1d_;
-  Cache l1i_;
-  Cache l2_;
-  Cache l3_;  // constructed even when absent; gated by config_.has_l3()
-  Tlb itlb_;
-  Tlb dtlb_;
-  std::unique_ptr<BranchPredictor> predictor_;
+  FunctionalPass functional_;
 };
 
 /// Facade: simulate one configuration against one trace.
 SimResult simulate(const ProcessorConfig& config, const Trace& trace);
+
+/// Simulate every configuration against one trace, cold, index-aligned
+/// with `configs` and bit-identical to simulate() on each. Configurations
+/// are grouped by FunctionalKey: each group costs one functional pass and
+/// one timing pass per distinct timing (perfect-predictor issue_wrong twins
+/// share one). Groups run across `pool`, each task reusing one outcome
+/// buffer, so memory stays one buffer per worker. Counts
+/// sim.functional_passes and sim.timing_passes.
+std::vector<SimResult> simulate_batch(ThreadPool& pool,
+                                      std::span<const ProcessorConfig> configs,
+                                      const Trace& trace);
+
+/// simulate_batch over the global pool.
+std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
+                                      const Trace& trace);
 
 }  // namespace dsml::sim

@@ -25,17 +25,19 @@ enum class OpClass : std::uint8_t {
 
 const char* to_string(OpClass op) noexcept;
 
+/// Fields run widest first, so an instruction packs into 40 bytes.
 struct Instr {
-  OpClass op = OpClass::kIntAlu;
   std::uint64_t pc = 0;       ///< byte address of the instruction
   std::uint64_t mem_addr = 0; ///< effective address (loads/stores)
-  bool taken = false;         ///< branch outcome
   std::uint64_t target = 0;   ///< branch target pc
   /// Distances (in dynamic instructions) to the producers of the two source
   /// operands; 0 means "no dependency / value ready long ago".
   std::uint32_t dep1 = 0;
   std::uint32_t dep2 = 0;
+  OpClass op = OpClass::kIntAlu;
+  bool taken = false;         ///< branch outcome
 };
+static_assert(sizeof(Instr) == 40);
 
 struct Trace {
   std::vector<Instr> instrs;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -180,6 +183,47 @@ TEST(Core, IssueWrongChangesTiming) {
   // Wrong-path issue resumes fetch earlier after mispredicts: on a branchy
   // trace it should not hurt.
   EXPECT_LE(r_on.cycles, r_off.cycles);
+}
+
+TEST(Core, FunctionalPassRejectsConfigurationsWithDifferentKeys) {
+  ProcessorConfig other = base_config();
+  other.l2_size_kb = 1024;
+  const std::vector<ProcessorConfig> mixed{base_config(), other};
+  EXPECT_THROW(FunctionalPass{mixed}, InvalidArgument);
+  EXPECT_THROW(FunctionalPass{std::span<const ProcessorConfig>{}},
+               InvalidArgument);
+}
+
+TEST(Core, TimingPassNeedsItsTlbReachModelled) {
+  const ProcessorConfig small = base_config();
+  ProcessorConfig big = small;
+  big.itlb_size_kb = 1024;
+  big.dtlb_size_kb = 2048;
+  const Trace trace = compute_trace();
+  std::vector<Outcome> outcomes(trace.size());
+  FunctionalPass pass(std::span(&small, 1));
+  const FunctionalStats stats = pass.run(trace.span(), outcomes);
+  EXPECT_THROW(run_timing_pass(big, {}, trace.span(), outcomes, stats),
+               InvalidArgument);
+}
+
+TEST(Core, BatchMatchesSimulateOnAnySubset) {
+  // Mixed keys, a repeated configuration and a perfect-predictor twin pair.
+  const std::vector<ProcessorConfig> space = enumerate_design_space();
+  std::vector<ProcessorConfig> configs;
+  for (const std::size_t idx : {7u, 4607u, 1151u, 7u, 2048u, 2049u, 0u, 2u}) {
+    configs.push_back(space[idx]);
+  }
+  const Trace trace = code_heavy_trace();
+  const std::vector<SimResult> batch = simulate_batch(configs, trace);
+  ASSERT_EQ(batch.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const SimResult one = simulate(configs[i], trace);
+    EXPECT_EQ(batch[i].cycles, one.cycles) << configs[i].key();
+    EXPECT_EQ(batch[i].stats.l1i_miss_rate, one.stats.l1i_miss_rate);
+    EXPECT_EQ(batch[i].stats.dtlb_miss_rate, one.stats.dtlb_miss_rate);
+  }
+  EXPECT_TRUE(simulate_batch({}, trace).empty());
 }
 
 TEST(Core, LatencyModelScalesCycles) {

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/metrics.hpp"
 #include "dse/chronological.hpp"
 #include "dse/sampled.hpp"
 #include "dse/sweep.hpp"
@@ -30,6 +31,21 @@ TEST(Sweep, CoversFullDesignSpace) {
   EXPECT_GE(sweep.simpoint_count, 1u);
   EXPECT_FALSE(sweep.from_cache);
   EXPECT_GT(sweep.seconds, 0.0);
+}
+
+TEST(Sweep, CountsFunctionalAndTimingPasses) {
+  metrics::Counter& functional = metrics::counter("sim.functional_passes");
+  metrics::Counter& timing = metrics::counter("sim.timing_passes");
+  metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
+  const std::uint64_t functional0 = functional.value();
+  const std::uint64_t timing0 = timing.value();
+  const std::uint64_t simulated0 = simulated.value();
+  run_design_space_sweep("gcc", tiny_sweep());
+  // 144 cache geometries x (3 predictors x 2 issue_wrong + perfect) keys;
+  // each key times 4 width/core pairs, perfect twins sharing one pass.
+  EXPECT_EQ(functional.value() - functional0, 1008u);
+  EXPECT_EQ(timing.value() - timing0, 4032u);
+  EXPECT_EQ(simulated.value() - simulated0, sim::kDesignSpaceSize);
 }
 
 TEST(Sweep, CacheRoundTrip) {

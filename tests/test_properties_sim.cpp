@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/core.hpp"
@@ -132,6 +135,104 @@ TEST_P(AppTraceProperty, UpgradingEverythingNeverHurts) {
 INSTANTIATE_TEST_SUITE_P(Apps, AppTraceProperty,
                          ::testing::Values("applu", "equake", "gcc", "mesa",
                                            "mcf"));
+
+// ---------------------------------------------------------------------------
+// Functional keys: which configurations may share a functional pass.
+
+ProcessorConfig keyed_base() {
+  ProcessorConfig c;
+  c.branch_predictor = BranchPredictorKind::kTwoLevel;
+  return c;
+}
+
+TEST(FunctionalKey, DesignSpaceHas1008DistinctKeys) {
+  std::set<FunctionalKey> keys;
+  for (const ProcessorConfig& c : enumerate_design_space()) {
+    keys.insert(c.functional_key());
+  }
+  EXPECT_EQ(keys.size(), 1008u);
+}
+
+TEST(FunctionalKey, TimingOnlyFieldsShareAKey) {
+  const ProcessorConfig base = keyed_base();
+  std::vector<ProcessorConfig> variants(5, base);
+  variants[0].width = 8;
+  variants[1].fu = {8, 4, 4, 8, 4};
+  variants[2].ruu_size = 256;
+  variants[3].lsq_size = 128;
+  variants[4].itlb_size_kb = 1024;
+  variants[4].dtlb_size_kb = 2048;
+  for (const ProcessorConfig& v : variants) {
+    v.validate();
+    EXPECT_EQ(v.functional_key(), base.functional_key()) << v.key();
+  }
+}
+
+TEST(FunctionalKey, CacheAndPredictorFieldsSplitKeys) {
+  const ProcessorConfig base = keyed_base();
+  std::vector<ProcessorConfig> variants(9, base);
+  variants[0].l1d_size_kb = 64;
+  variants[1].l1d_line_b = 64;
+  variants[2].l1i_size_kb = 16;
+  variants[3].l1i_line_b = 64;
+  variants[4].l2_size_kb = 1024;
+  variants[5].l2_assoc = 8;
+  variants[6].l3_size_mb = 8;
+  variants[6].l3_line_b = 256;
+  variants[6].l3_assoc = 8;
+  variants[7].branch_predictor = BranchPredictorKind::kCombination;
+  variants[8].issue_wrong = true;
+  for (const ProcessorConfig& v : variants) {
+    v.validate();
+    EXPECT_NE(v.functional_key(), base.functional_key()) << v.key();
+  }
+}
+
+TEST(FunctionalKey, PerfectPredictorIgnoresIssueWrong) {
+  ProcessorConfig off;
+  off.branch_predictor = BranchPredictorKind::kPerfect;
+  ProcessorConfig on = off;
+  on.issue_wrong = true;
+  EXPECT_EQ(on.functional_key(), off.functional_key());
+}
+
+void expect_identical(const SimResult& a, const SimResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.cycles, b.cycles) << what;
+  const SimStats& x = a.stats;
+  const SimStats& y = b.stats;
+  EXPECT_EQ(x.instructions, y.instructions) << what;
+  EXPECT_EQ(x.cycles, y.cycles) << what;
+  EXPECT_EQ(x.ipc, y.ipc) << what;
+  EXPECT_EQ(x.l1d_miss_rate, y.l1d_miss_rate) << what;
+  EXPECT_EQ(x.l1i_miss_rate, y.l1i_miss_rate) << what;
+  EXPECT_EQ(x.l2_miss_rate, y.l2_miss_rate) << what;
+  EXPECT_EQ(x.l3_miss_rate, y.l3_miss_rate) << what;
+  EXPECT_EQ(x.branch_mispredict_rate, y.branch_mispredict_rate) << what;
+  EXPECT_EQ(x.itlb_miss_rate, y.itlb_miss_rate) << what;
+  EXPECT_EQ(x.dtlb_miss_rate, y.dtlb_miss_rate) << what;
+  EXPECT_EQ(x.branch_count, y.branch_count) << what;
+  EXPECT_EQ(x.mispredicts, y.mispredicts) << what;
+}
+
+TEST(FunctionalKey, PerfectPredictorIssueWrongTwinsAreIdentical) {
+  // The compute-bound, memory-heavy and code-heavy profiles.
+  for (const char* app : {"applu", "mcf", "gcc"}) {
+    const Trace trace =
+        workload::generate_trace(workload::spec_profile(app), 30000);
+    std::size_t perfect = 0;
+    for (const ProcessorConfig& c : enumerate_design_space()) {
+      if (c.branch_predictor != BranchPredictorKind::kPerfect ||
+          c.issue_wrong || perfect++ % 24 != 0) {
+        continue;  // every 24th of the 576 pairs keeps this quick
+      }
+      ProcessorConfig twin = c;
+      twin.issue_wrong = true;
+      expect_identical(simulate(c, trace), simulate(twin, trace),
+                       std::string(app) + " " + c.key());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dsml::sim
