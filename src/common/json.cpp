@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -260,14 +261,22 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
     if (token.empty() || token == "-") fail("expected a value");
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
     Value v;
     v.type_ = Value::Type::kNumber;
-    v.number_ = parsed;
+    const char* last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, v.number_);
+    if (ec != std::errc() || ptr != last) {
+      // from_chars rejects what strtod accepts: a leading '+', and values
+      // that overflow to ±inf or underflow to 0. strtod decides every token
+      // from_chars does not take, so the accepted set and the values stay
+      // strtod's.
+      const std::string copy(token);
+      char* end = nullptr;
+      v.number_ = std::strtod(copy.c_str(), &end);
+      if (end != copy.c_str() + copy.size()) fail("malformed number");
+    }
     return v;
   }
 
@@ -289,19 +298,25 @@ Value Value::parse_file(const std::string& path) {
 
 // --------------------------------------------------------------- Writer ----
 
-std::string format_number(double v) {
+namespace {
+
+void append_number(std::string& out, double v) {
   // JSON has no literal for non-finite doubles. Emitting null (the old
   // behavior) silently changed the *type* on round-trip, so a NaN model
   // error could slip past numeric comparisons; the string sentinels below
   // keep the value representable and the Parser maps them back to numbers.
-  if (std::isnan(v)) return "\"NaN\"";
-  if (std::isinf(v)) return v > 0.0 ? "\"Infinity\"" : "\"-Infinity\"";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  if (std::isnan(v)) {
+    out += "\"NaN\"";
+  } else if (std::isinf(v)) {
+    out += v > 0.0 ? "\"Infinity\"" : "\"-Infinity\"";
+  } else {
+    // General format at precision 17 is defined as printf's "%.17g".
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+  }
 }
-
-namespace {
 
 void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
@@ -327,6 +342,12 @@ void append_escaped(std::string& out, std::string_view s) {
 }
 
 }  // namespace
+
+std::string format_number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
 
 void Writer::indent() {
   if (compact_) return;
@@ -405,7 +426,7 @@ Writer& Writer::end_array() {
 
 Writer& Writer::value(double v) {
   before_value();
-  out_ += format_number(v);
+  append_number(out_, v);
   return *this;
 }
 

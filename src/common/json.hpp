@@ -114,9 +114,10 @@ class Writer {
   bool done_ = false;
 };
 
-/// Round-trippable formatting for a JSON number: '%.17g' for finite values,
-/// the quoted string sentinels "NaN"/"Infinity"/"-Infinity" otherwise (the
-/// Parser maps these back to numbers). Exposed for tests.
+/// Round-trippable formatting for a JSON number: '%.17g' (through
+/// std::to_chars) for finite values, the quoted string sentinels
+/// "NaN"/"Infinity"/"-Infinity" otherwise (the Parser maps these back to
+/// numbers). Exposed for tests.
 std::string format_number(double v);
 
 }  // namespace dsml::json

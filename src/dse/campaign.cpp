@@ -344,7 +344,9 @@ std::vector<SamplerRound> budget_rounds(std::size_t budget,
   const std::size_t extra = budget % rounds;
   for (std::size_t r = 0; r < rounds; ++r) {
     plan[r].count = base + (r < extra ? 1 : 0);
-    plan[r].label = "r" + std::to_string(r + 1);
+    // 'r', not "r": a string literal plus std::to_string trips GCC 12's
+    // -Wrestrict false positive under -Werror.
+    plan[r].label = 'r' + std::to_string(r + 1);
     plan[r].seed_salt = r + 1;
   }
   return plan;

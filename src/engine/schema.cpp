@@ -1,5 +1,6 @@
 #include "engine/schema.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -52,6 +53,48 @@ bool parse_flag_cell(const std::string& raw, const SchemaColumn& column,
                         "got '" + raw + "'");
 }
 
+/// One column's decoded values; only the vector of the column's kind is
+/// used.
+struct ColumnValues {
+  ColumnValues(data::ColumnKind kind, std::size_t rows) {
+    switch (kind) {
+      case data::ColumnKind::kNumeric: numbers.reserve(rows); break;
+      case data::ColumnKind::kFlag: flags.reserve(rows); break;
+      case data::ColumnKind::kCategorical: labels.reserve(rows); break;
+    }
+  }
+
+  std::vector<double> numbers;
+  std::vector<bool> flags;
+  std::vector<std::string> labels;  ///< trimmed categorical labels
+};
+
+/// The tail both decoders share: appends `values` to `out` as `column`,
+/// resolving categorical labels against the declared levels.
+void add_column(data::Dataset& out, const SchemaColumn& column,
+                ColumnValues values) {
+  switch (column.kind) {
+    case data::ColumnKind::kNumeric:
+      out.add_feature(
+          data::Column::numeric(column.name, std::move(values.numbers)));
+      return;
+    case data::ColumnKind::kFlag:
+      out.add_feature(data::Column::flag(column.name, std::move(values.flags)));
+      return;
+    case data::ColumnKind::kCategorical:
+      try {
+        out.add_feature(data::Column::categorical_with_levels(
+            column.name, column.levels, std::move(values.labels),
+            column.ordered));
+      } catch (const InvalidArgument& e) {
+        throw InvalidArgument("column '" + column.name + "': " + e.what() +
+                              " (known levels: " +
+                              strings::join(column.levels, ", ") + ")");
+      }
+      return;
+  }
+}
+
 }  // namespace
 
 Schema Schema::of(const data::Dataset& dataset) {
@@ -62,18 +105,18 @@ Schema Schema::of(const data::Dataset& dataset) {
     schema.columns_.push_back(
         SchemaColumn{col.name(), col.kind(), col.ordered(), col.levels()});
   }
-  schema.refingerprint();
+  schema.derive();
   return schema;
 }
 
 Schema Schema::from_columns(std::vector<SchemaColumn> columns) {
   Schema schema;
   schema.columns_ = std::move(columns);
-  schema.refingerprint();
+  schema.derive();
   return schema;
 }
 
-void Schema::refingerprint() {
+void Schema::derive() {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
   fnv_mix(h, static_cast<std::uint64_t>(columns_.size()));
   for (const SchemaColumn& c : columns_) {
@@ -84,6 +127,11 @@ void Schema::refingerprint() {
     for (const std::string& level : c.levels) fnv_mix(h, level);
   }
   fingerprint_ = h;
+  positions_.clear();
+  positions_.reserve(columns_.size());
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    positions_.try_emplace(columns_[i].name, i);
+  }
 }
 
 bool Schema::matches(const data::Dataset& dataset) const {
@@ -148,48 +196,80 @@ data::Dataset Schema::dataset_from_rows(
   data::Dataset out;
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     const SchemaColumn& column = columns_[c];
-    switch (column.kind) {
-      case data::ColumnKind::kNumeric: {
-        std::vector<double> values;
-        values.reserve(rows.size());
-        for (std::size_t r = 0; r < rows.size(); ++r) {
+    ColumnValues values(column.kind, rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const std::string& cell = rows[r][c];
+      switch (column.kind) {
+        case data::ColumnKind::kNumeric:
           try {
-            values.push_back(strings::parse_double(rows[r][c]));
+            values.numbers.push_back(strings::parse_double(cell));
           } catch (const IoError&) {
             throw InvalidArgument("row " + std::to_string(r) + ", column '" +
                                   column.name + "': expected a number, got '" +
-                                  rows[r][c] + "'");
+                                  cell + "'");
           }
-        }
-        out.add_feature(data::Column::numeric(column.name, std::move(values)));
-        break;
-      }
-      case data::ColumnKind::kFlag: {
-        std::vector<bool> values;
-        values.reserve(rows.size());
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          values.push_back(parse_flag_cell(rows[r][c], column, r));
-        }
-        out.add_feature(data::Column::flag(column.name, std::move(values)));
-        break;
-      }
-      case data::ColumnKind::kCategorical: {
-        std::vector<std::string> values;
-        values.reserve(rows.size());
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          values.push_back(std::string(strings::trim(rows[r][c])));
-        }
-        try {
-          out.add_feature(data::Column::categorical_with_levels(
-              column.name, column.levels, std::move(values), column.ordered));
-        } catch (const InvalidArgument& e) {
-          throw InvalidArgument("column '" + column.name +
-                                "': " + e.what() + " (known levels: " +
-                                strings::join(column.levels, ", ") + ")");
-        }
-        break;
+          break;
+        case data::ColumnKind::kFlag:
+          values.flags.push_back(parse_flag_cell(cell, column, r));
+          break;
+        case data::ColumnKind::kCategorical:
+          values.labels.emplace_back(strings::trim(cell));
+          break;
       }
     }
+    add_column(out, column, std::move(values));
+  }
+  return out;
+}
+
+data::Dataset Schema::dataset_from_json_rows(
+    const std::vector<json::Value>& rows) const {
+  std::vector<ColumnValues> values;
+  values.reserve(columns_.size());
+  for (const SchemaColumn& column : columns_) {
+    values.emplace_back(column.kind, rows.size());
+  }
+  std::vector<const json::Value*> cells(columns_.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const json::Value& row = rows[r];
+    if (row.type() != json::Value::Type::kObject) {
+      throw InvalidArgument("row " + std::to_string(r) +
+                            " must be a JSON object keyed by column name");
+    }
+    std::fill(cells.begin(), cells.end(), nullptr);
+    for (const auto& [key, value] : row.fields()) {
+      const auto it = positions_.find(key);
+      if (it == positions_.end()) {
+        throw InvalidArgument("row " + std::to_string(r) +
+                              " has unknown column '" + key + "'");
+      }
+      if (cells[it->second] == nullptr) cells[it->second] = &value;
+    }
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      const SchemaColumn& column = columns_[c];
+      if (cells[c] == nullptr) {
+        throw InvalidArgument("row " + std::to_string(r) +
+                              " is missing column '" + column.name + "'");
+      }
+      const json::Value& v = *cells[c];
+      switch (column.kind) {
+        case data::ColumnKind::kNumeric:
+          values[c].numbers.push_back(v.as_number());
+          break;
+        case data::ColumnKind::kFlag:
+          values[c].flags.push_back(v.type() == json::Value::Type::kBool
+                                        ? v.as_bool()
+                                        : v.as_number() != 0.0);
+          break;
+        case data::ColumnKind::kCategorical:
+          values[c].labels.emplace_back(strings::trim(v.as_string()));
+          break;
+      }
+    }
+  }
+  data::Dataset out;
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    add_column(out, columns_[c], std::move(values[c]));
   }
   return out;
 }

@@ -9,17 +9,20 @@
 // fingerprint before any request reaches the model.
 //
 // Schema also owns the inverse direction: building a typed Dataset from
-// untyped external rows (CSV files handed to `dsml predict --csv`, JSON
-// objects handed to `dsml serve`), validating every cell against the
-// column's declared kind and levels so malformed requests fail with a
-// taxonomy error instead of corrupting a batch.
+// external rows (CSV files handed to `dsml predict --csv`, JSON objects
+// handed to `dsml serve`), validating every cell against the column's
+// declared kind and levels so malformed requests fail with a taxonomy error
+// instead of corrupting a batch. JSON rows decode straight into typed
+// columns; only CSV cells go through text.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "data/dataset.hpp"
 
 namespace dsml::engine {
@@ -76,16 +79,36 @@ class Schema {
   data::Dataset dataset_from_rows(
       const std::vector<std::vector<std::string>>& rows) const;
 
+  /// Builds a dataset from serve-protocol rows: JSON objects keyed by column
+  /// name, in any key order. Each row's fields are walked once against the
+  /// schema's name index. Checked per row, in order: the row is an object,
+  /// every key names a column, then (in column order) each column is
+  /// present and its value has the right type: a number for numerics, a
+  /// bool or number (non-zero is true) for flags, a string for
+  /// categoricals. A duplicate key keeps its first value. Categorical
+  /// labels are trimmed and resolved against the levels only after every
+  /// row passed those checks. Throws InvalidArgument naming the row and
+  /// column, or the IoError of the JSON accessor on a type mismatch.
+  data::Dataset dataset_from_json_rows(
+      const std::vector<json::Value>& rows) const;
+
   /// Maps a CSV table onto the schema by header name (column order in the
   /// file is free; extra columns — including a target — are ignored).
   /// Throws InvalidArgument when a schema column is missing from the header.
   data::Dataset dataset_from_csv(const csv::Table& table) const;
 
  private:
-  void refingerprint();
+  /// Recomputes what is derived from `columns_`: the fingerprint and the
+  /// name index.
+  void derive();
 
   std::vector<SchemaColumn> columns_;
   std::uint64_t fingerprint_ = 0;
+  /// Column name → position in `columns_`. Owns its keys, so copying a
+  /// Schema (every ModelEntry holds one) never leaves it pointing into
+  /// another object's columns. Names are unique in any schema a model can
+  /// be registered with: a Dataset rejects repeated feature names.
+  std::unordered_map<std::string, std::size_t> positions_;
 };
 
 }  // namespace dsml::engine

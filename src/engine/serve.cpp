@@ -1,10 +1,7 @@
 #include "engine/serve.hpp"
 
-#include <cstdio>
 #include <istream>
 #include <ostream>
-#include <unordered_set>
-#include <vector>
 
 #include "common/failpoint.hpp"
 #include "common/json.hpp"
@@ -26,57 +23,6 @@ struct ServeMetrics {
 ServeMetrics& serve_metrics() {
   static ServeMetrics m;
   return m;
-}
-
-std::string numeric_cell(const json::Value& v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v.as_number());
-  return buf;
-}
-
-/// Converts one request row (a JSON object keyed by column name) into cells
-/// in schema column order, rejecting unknown and missing columns by name.
-/// `known_columns` is the schema's name set, prebuilt once per request so
-/// the unknown-key check is a hash probe instead of a per-key column scan.
-std::vector<std::string> row_cells(
-    const json::Value& row, const Schema& schema,
-    const std::unordered_set<std::string_view>& known_columns,
-    std::size_t index) {
-  if (row.type() != json::Value::Type::kObject) {
-    throw InvalidArgument("row " + std::to_string(index) +
-                          " must be a JSON object keyed by column name");
-  }
-  for (const auto& [key, value] : row.fields()) {
-    if (known_columns.count(key) == 0) {
-      throw InvalidArgument("row " + std::to_string(index) +
-                            " has unknown column '" + key + "'");
-    }
-  }
-  std::vector<std::string> cells;
-  cells.reserve(schema.size());
-  for (const SchemaColumn& c : schema.columns()) {
-    if (!row.contains(c.name)) {
-      throw InvalidArgument("row " + std::to_string(index) +
-                            " is missing column '" + c.name + "'");
-    }
-    const json::Value& v = row.at(c.name);
-    switch (c.kind) {
-      case data::ColumnKind::kNumeric:
-        cells.push_back(numeric_cell(v));
-        break;
-      case data::ColumnKind::kFlag:
-        if (v.type() == json::Value::Type::kBool) {
-          cells.push_back(v.as_bool() ? "1" : "0");
-        } else {
-          cells.push_back(v.as_number() != 0.0 ? "1" : "0");
-        }
-        break;
-      case data::ColumnKind::kCategorical:
-        cells.push_back(v.as_string());
-        break;
-    }
-  }
-  return cells;
 }
 
 std::string error_response(const std::exception& e) {
@@ -132,18 +78,8 @@ std::string ServeHandler::answer(std::string_view line) {
         request.at("rows").type() != json::Value::Type::kArray) {
       throw InvalidArgument("request needs a \"rows\" array");
     }
-    const std::vector<json::Value>& row_values = request.at("rows").items();
-    std::unordered_set<std::string_view> known_columns;
-    known_columns.reserve(entry->schema.size());
-    for (const SchemaColumn& c : entry->schema.columns()) {
-      known_columns.insert(c.name);
-    }
-    std::vector<std::vector<std::string>> cells;
-    cells.reserve(row_values.size());
-    for (std::size_t r = 0; r < row_values.size(); ++r) {
-      cells.push_back(row_cells(row_values[r], entry->schema, known_columns, r));
-    }
-    const data::Dataset rows = entry->schema.dataset_from_rows(cells);
+    const data::Dataset rows =
+        entry->schema.dataset_from_json_rows(request.at("rows").items());
 
     InferenceSession* session = nullptr;
     {

@@ -771,6 +771,25 @@ TEST_F(CliTest, LoadgenDrivesAServerAndGatesOnItsOwnReport) {
       << first.out;
   EXPECT_NE(first.out.find("latency p50"), std::string::npos) << first.out;
 
+  // The report records the machine it ran on, and the gate ignores it:
+  // a baseline from a machine with other CPUs still checks.
+  const json::Value report = json::Value::parse_file(report_path);
+  EXPECT_GE(report.at("hardware_concurrency").as_number(), 1.0);
+  const double cpus = report.at("affinity_cpus").as_number();
+  EXPECT_GE(cpus, 1.0);
+  {
+    std::ifstream in(report_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string rewritten = text.str();
+    const std::string field =
+        "\"affinity_cpus\": " + std::to_string(static_cast<int>(cpus));
+    const std::size_t at = rewritten.find(field);
+    ASSERT_NE(at, std::string::npos) << rewritten;
+    rewritten.replace(at, field.size(), "\"affinity_cpus\": 999");
+    std::ofstream(report_path) << rewritten;
+  }
+
   // A second identical run gated against the first run's report: the
   // deterministic fields (config, ok/error totals) must match exactly.
   const auto gated = run_cli({"loadgen", "--connect", endpoint,

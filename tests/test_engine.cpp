@@ -1,20 +1,33 @@
-// Engine-layer tests: schema fingerprints, the model registry, micro-batching
+// Engine-layer tests: schema fingerprints, JSON row decoding (differential
+// against the old text route), the model registry, micro-batching
 // inference sessions (including the bit-identity determinism contract and
 // concurrent access under DSML_THREADS=4 — this suite carries the tsan
-// label), fit_and_score failure capture, and the design-space cold-start
-// cache.
+// label), fit_and_score failure capture, the design-space cold-start
+// cache, and the serve goldens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <typeinfo>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "data/column.hpp"
 #include "data/dataset.hpp"
 #include "engine/design_space.hpp"
@@ -109,6 +122,405 @@ TEST(Schema, DatasetFromRowsValidatesCells) {
   EXPECT_THROW(schema.dataset_from_rows({{"1", "1", "0", "heroic"}}),
                InvalidArgument);
   EXPECT_THROW(schema.dataset_from_rows({{"1", "1", "0"}}), InvalidArgument);
+}
+
+// ------------------------------------------------------ JSON row decoding --
+
+// The route serve rows took before they decoded straight into typed columns:
+// each cell formatted to text, then parsed back into columns. Both halves
+// are copied here as they were (the handler's row_cells and the string
+// route of Schema::dataset_from_rows), so the reference the typed decode
+// must reproduce, results and errors alike, does not move with the code
+// under test.
+std::string text_route_numeric_cell(const json::Value& v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v.as_number());
+  return buf;
+}
+
+std::vector<std::string> text_route_row_cells(
+    const json::Value& row, const Schema& schema,
+    const std::unordered_set<std::string_view>& known_columns,
+    std::size_t index) {
+  if (row.type() != json::Value::Type::kObject) {
+    throw InvalidArgument("row " + std::to_string(index) +
+                          " must be a JSON object keyed by column name");
+  }
+  for (const auto& [key, value] : row.fields()) {
+    if (known_columns.count(key) == 0) {
+      throw InvalidArgument("row " + std::to_string(index) +
+                            " has unknown column '" + key + "'");
+    }
+  }
+  std::vector<std::string> cells;
+  cells.reserve(schema.size());
+  for (const SchemaColumn& c : schema.columns()) {
+    if (!row.contains(c.name)) {
+      throw InvalidArgument("row " + std::to_string(index) +
+                            " is missing column '" + c.name + "'");
+    }
+    const json::Value& v = row.at(c.name);
+    switch (c.kind) {
+      case data::ColumnKind::kNumeric:
+        cells.push_back(text_route_numeric_cell(v));
+        break;
+      case data::ColumnKind::kFlag:
+        if (v.type() == json::Value::Type::kBool) {
+          cells.push_back(v.as_bool() ? "1" : "0");
+        } else {
+          cells.push_back(v.as_number() != 0.0 ? "1" : "0");
+        }
+        break;
+      case data::ColumnKind::kCategorical:
+        cells.push_back(v.as_string());
+        break;
+    }
+  }
+  return cells;
+}
+
+bool text_route_flag_cell(const std::string& raw, const SchemaColumn& column,
+                          std::size_t row) {
+  const std::string v = strings::to_lower(strings::trim(raw));
+  if (v == "1" || v == "true" || v == "yes") return true;
+  if (v == "0" || v == "false" || v == "no") return false;
+  throw InvalidArgument("row " + std::to_string(row) + ", column '" +
+                        column.name + "': expected a flag (0/1/true/false), " +
+                        "got '" + raw + "'");
+}
+
+data::Dataset text_route_dataset(
+    const Schema& schema, const std::vector<std::vector<std::string>>& rows) {
+  const std::vector<SchemaColumn>& columns = schema.columns();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].size() != columns.size()) {
+      throw InvalidArgument("row " + std::to_string(r) + ": expected " +
+                            std::to_string(columns.size()) + " cells, got " +
+                            std::to_string(rows[r].size()));
+    }
+  }
+  data::Dataset out;
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    const SchemaColumn& column = columns[c];
+    switch (column.kind) {
+      case data::ColumnKind::kNumeric: {
+        std::vector<double> values;
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          try {
+            values.push_back(strings::parse_double(rows[r][c]));
+          } catch (const IoError&) {
+            throw InvalidArgument("row " + std::to_string(r) + ", column '" +
+                                  column.name + "': expected a number, got '" +
+                                  rows[r][c] + "'");
+          }
+        }
+        out.add_feature(data::Column::numeric(column.name, std::move(values)));
+        break;
+      }
+      case data::ColumnKind::kFlag: {
+        std::vector<bool> values;
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          values.push_back(text_route_flag_cell(rows[r][c], column, r));
+        }
+        out.add_feature(data::Column::flag(column.name, std::move(values)));
+        break;
+      }
+      case data::ColumnKind::kCategorical: {
+        std::vector<std::string> values;
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          values.push_back(std::string(strings::trim(rows[r][c])));
+        }
+        try {
+          out.add_feature(data::Column::categorical_with_levels(
+              column.name, column.levels, std::move(values), column.ordered));
+        } catch (const InvalidArgument& e) {
+          throw InvalidArgument("column '" + column.name +
+                                "': " + e.what() + " (known levels: " +
+                                strings::join(column.levels, ", ") + ")");
+        }
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+data::Dataset text_route_decode(const Schema& schema,
+                                const std::vector<json::Value>& rows) {
+  std::unordered_set<std::string_view> known_columns;
+  for (const SchemaColumn& c : schema.columns()) known_columns.insert(c.name);
+  std::vector<std::vector<std::string>> cells;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    cells.push_back(text_route_row_cells(rows[r], schema, known_columns, r));
+  }
+  return text_route_dataset(schema, cells);
+}
+
+/// A decode's result: the dataset, or the exception's type and message.
+struct Decoded {
+  std::optional<data::Dataset> dataset;
+  std::string error_type;
+  std::string message;
+};
+
+template <typename Decode>
+Decoded decode_with(Decode&& decode) {
+  Decoded out;
+  try {
+    out.dataset = decode();
+  } catch (const std::exception& e) {
+    out.error_type = typeid(e).name();
+    out.message = e.what();
+  }
+  return out;
+}
+
+/// "" when the datasets are equal (numerics bit for bit), else the first
+/// difference.
+std::string dataset_difference(const data::Dataset& a,
+                               const data::Dataset& b) {
+  if (a.n_features() != b.n_features() || a.n_rows() != b.n_rows()) {
+    return "shape";
+  }
+  for (std::size_t i = 0; i < a.n_features(); ++i) {
+    const data::Column& x = a.feature(i);
+    const data::Column& y = b.feature(i);
+    if (x.name() != y.name() || x.kind() != y.kind() ||
+        x.ordered() != y.ordered() || x.levels() != y.levels()) {
+      return "column " + std::to_string(i) + " contract";
+    }
+    for (std::size_t r = 0; r < a.n_rows(); ++r) {
+      const bool same =
+          x.kind() == data::ColumnKind::kNumeric
+              ? std::bit_cast<std::uint64_t>(x.numeric_at(r)) ==
+                    std::bit_cast<std::uint64_t>(y.numeric_at(r))
+              : x.code_at(r) == y.code_at(r);
+      if (!same) {
+        return "column " + std::to_string(i) + " row " + std::to_string(r);
+      }
+    }
+  }
+  return "";
+}
+
+/// Serve row sets for a schema as JSON text: mostly well-formed rows, each
+/// with a chance of one mutation the two decode routes must treat alike.
+class RowMutator {
+ public:
+  RowMutator(const Schema& schema, std::uint64_t seed)
+      : schema_(schema), rng_(seed) {}
+
+  std::string row_set() {
+    std::string out = "[";
+    const std::size_t n = rng_.below(5);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (r > 0) out += ",";
+      out += row();
+    }
+    return out + "]";
+  }
+
+ private:
+  bool chance(double p) { return rng_.uniform() < p; }
+
+  std::string pick(const std::vector<std::string>& options) {
+    return options[rng_.below(options.size())];
+  }
+
+  std::string number() {
+    if (chance(0.4)) return std::to_string(rng_.below(4097));
+    if (chance(0.5)) {
+      double v = std::bit_cast<double>(rng_());
+      if (!std::isfinite(v)) v = 0.5;
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+      return buf;
+    }
+    return pick({"-0", "+5", ".5", "5.", "0.1", "1e999", "-1e999", "1e-400",
+                 "4.9406564584124654e-324", "2.2250738585072009e-308",
+                 "1.7976931348623157e308", "123456789012345678901234567890",
+                 "\"NaN\"", "\"Infinity\"", "\"-Infinity\""});
+  }
+
+  std::string level(const SchemaColumn& c) {
+    const std::string& name = c.levels[rng_.below(c.levels.size())];
+    if (!chance(0.15)) return "\"" + name + "\"";
+    return pick({"\" " + name + " \"", "\"\\t" + name + "\\n\"",
+                 "\"" + name + " \""});
+  }
+
+  std::string good_value(const SchemaColumn& c) {
+    switch (c.kind) {
+      case data::ColumnKind::kNumeric:
+        return number();
+      case data::ColumnKind::kFlag:
+        return pick({"true", "false", "0", "1", "2", "-0", "0.5", "\"NaN\"",
+                     "1e-400", "-1e999"});
+      case data::ColumnKind::kCategorical:
+        return level(c);
+    }
+    return "null";
+  }
+
+  std::string bad_value(const SchemaColumn& c) {
+    std::vector<std::string> options = {"null", "[1]", "{}", "{\"a\":1}"};
+    switch (c.kind) {
+      case data::ColumnKind::kNumeric:
+        options.insert(options.end(), {"\"16\"", "true", "false", "\"\""});
+        break;
+      case data::ColumnKind::kFlag:
+        options.insert(options.end(), {"\"true\"", "\"1\"", "\"\""});
+        break;
+      case data::ColumnKind::kCategorical: {
+        std::string upper = c.levels.front();
+        std::transform(upper.begin(), upper.end(), upper.begin(),
+                       [](unsigned char ch) { return std::toupper(ch); });
+        options.insert(options.end(),
+                       {"7", "true", "\"NaN\"", "\"\"", "\"w\"",
+                        "\"" + upper + "\"", "\"x y\""});
+        break;
+      }
+    }
+    return pick(options);
+  }
+
+  std::string row() {
+    if (chance(0.03)) return pick({"7", "\"row\"", "[1,2]", "null", "true"});
+    const std::vector<SchemaColumn>& columns = schema_.columns();
+    std::vector<std::pair<std::string, std::string>> fields;
+    for (const SchemaColumn& c : columns) {
+      fields.emplace_back(c.name, good_value(c));
+    }
+    if (chance(0.2)) {
+      const std::size_t c = rng_.below(columns.size());
+      fields[c].second = bad_value(columns[c]);
+    }
+    if (chance(0.1)) {
+      const std::size_t c = rng_.below(columns.size());
+      if (columns[c].kind == data::ColumnKind::kCategorical) {
+        fields[c].second = pick({"\"w\"", "\"\"", "\"x y\""});
+      }
+    }
+    if (chance(0.15)) {
+      const std::size_t c = rng_.below(columns.size());
+      const std::string value = chance(0.5) ? good_value(columns[c])
+                                            : bad_value(columns[c]);
+      fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(
+                                         rng_.below(fields.size() + 1)),
+                    {columns[c].name, value});
+    }
+    if (chance(0.08)) {
+      fields.erase(fields.begin() +
+                   static_cast<std::ptrdiff_t>(rng_.below(fields.size())));
+    }
+    if (chance(0.06)) {
+      const std::string& name = columns[rng_.below(columns.size())].name;
+      fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(
+                                         rng_.below(fields.size() + 1)),
+                    {pick({"bogus", "", name + " ", "_" + name}), "1"});
+    }
+    if (chance(0.5)) {
+      for (std::size_t i = fields.size(); i > 1; --i) {
+        std::swap(fields[i - 1], fields[rng_.below(i)]);
+      }
+    }
+    std::string out = "{";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) out += ",";
+      out += "\"" + fields[i].first + "\":" + fields[i].second;
+    }
+    return out + "}";
+  }
+
+  const Schema& schema_;
+  Rng rng_;
+};
+
+/// Two categoricals and two flags, so level-error precedence across
+/// columns is exercised too.
+Schema mixed_schema() {
+  return Schema::from_columns({
+      {"size_kb", data::ColumnKind::kNumeric, false, {}},
+      {"predictor", data::ColumnKind::kCategorical, true,
+       {"weak", "medium", "strong"}},
+      {"wide", data::ColumnKind::kFlag, false, {}},
+      {"latency", data::ColumnKind::kNumeric, false, {}},
+      {"policy", data::ColumnKind::kCategorical, false, {"lru", "random"}},
+      {"smt", data::ColumnKind::kFlag, false, {}},
+  });
+}
+
+TEST(Schema, JsonRowDecodeMatchesTextRoute) {
+  const std::vector<std::pair<Schema, std::uint64_t>> cases = {
+      {design_space_schema(), 11}, {mixed_schema(), 12}};
+  std::size_t decoded = 0, failed = 0, level_errors = 0;
+  for (const auto& [schema, seed] : cases) {
+    RowMutator mutator(schema, seed);
+    for (int i = 0; i < 2000; ++i) {
+      const std::string text = mutator.row_set();
+      const json::Value rows = json::Value::parse(text);
+      const Decoded typed = decode_with(
+          [&] { return schema.dataset_from_json_rows(rows.items()); });
+      const Decoded reference =
+          decode_with([&] { return text_route_decode(schema, rows.items()); });
+      ASSERT_EQ(typed.dataset.has_value(), reference.dataset.has_value())
+          << text << "\ntyped: " << typed.message
+          << "\ntext route: " << reference.message;
+      if (typed.dataset) {
+        ASSERT_EQ(dataset_difference(*typed.dataset, *reference.dataset), "")
+            << text;
+        ++decoded;
+      } else {
+        ASSERT_EQ(typed.error_type, reference.error_type) << text;
+        ASSERT_EQ(typed.message, reference.message) << text;
+        ++failed;
+        if (typed.message.find("declared levels") != std::string::npos) {
+          ++level_errors;
+        }
+      }
+    }
+  }
+  // Both outcomes must be well represented, or the comparison says little.
+  EXPECT_GT(decoded, 400u) << failed << " failed";
+  EXPECT_GT(failed, 400u) << decoded << " decoded";
+  EXPECT_GT(level_errors, 50u);
+}
+
+TEST(Schema, JsonRowsDecodeIntoTypedColumns) {
+  const Schema schema = Schema::of(make_train(6));
+  const json::Value rows = json::Value::parse(
+      R"([{"predictor": " strong ", "wide": 2, "latency": -0, "size_kb": 16},
+          {"size_kb": 8, "latency": 1.5, "wide": false, "predictor": "weak",
+           "size_kb": "ignored: a duplicate keeps its first value"}])");
+  const data::Dataset d = schema.dataset_from_json_rows(rows.items());
+  ASSERT_EQ(d.n_rows(), 2u);
+  EXPECT_TRUE(schema.matches(d));
+  EXPECT_EQ(d.feature("size_kb").numeric_at(1), 8.0);
+  EXPECT_TRUE(std::signbit(d.feature("latency").numeric_at(0)));
+  EXPECT_EQ(d.feature("wide").code_at(0), 1u);
+  EXPECT_EQ(d.feature("predictor").label_at(0), "strong");
+
+  // A structural error in row 1 is reported before a bad level in row 0.
+  const json::Value bad = json::Value::parse(
+      R"([{"size_kb": 1, "latency": 1, "wide": 0, "predictor": "heroic"},
+          {"size_kb": 1, "latency": 1, "wide": 0}])");
+  try {
+    schema.dataset_from_json_rows(bad.items());
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "row 1 is missing column 'predictor'");
+  }
+}
+
+// A copied schema keeps its own name index: the copy must decode after the
+// original is gone.
+TEST(Schema, CopiedSchemaDecodesAfterOriginalIsDestroyed) {
+  std::optional<Schema> original = Schema::of(make_train(6));
+  const Schema copy = *original;
+  original.reset();
+  const json::Value rows = json::Value::parse(
+      R"([{"size_kb": 16, "latency": 2, "wide": true, "predictor": "weak"}])");
+  EXPECT_EQ(copy.dataset_from_json_rows(rows.items()).n_rows(), 1u);
 }
 
 // -------------------------------------------------------------- registry --
@@ -513,6 +925,33 @@ TEST(Serve, PartialResponsesCountSeparatelyFromErrors) {
   EXPECT_EQ(summary.errors, 0u);    // a whole-request failure
   EXPECT_EQ(summary.rows, 1u);      // the surviving row still counts
   EXPECT_EQ(partial_metric.value(), partial_before + 1);
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Row-level edge cases against the committed applu fixture (the requests
+// CI's serve smoke pipes through `dsml serve`): every error text and its
+// precedence, number tokens and sentinels, padded and duplicate fields.
+// The golden is the handler's output before rows decoded into typed
+// columns.
+TEST(Serve, EdgeRequestsMatchGolden) {
+  const std::string dir = std::string(DSML_REPO_ROOT) + "/tests/data/serve/";
+  ModelRegistry registry;
+  registry.load_file("applu", dir + "model.dsml", design_space_schema());
+  ServeOptions options;
+  options.default_model = "applu";
+  ServeHandler handler(registry, options);
+  std::istringstream requests(read_text(dir + "requests_edge.jsonl"));
+  std::string line;
+  std::string responses;
+  while (std::getline(requests, line)) responses += handler.handle(line);
+  EXPECT_EQ(responses, read_text(dir + "golden_edge.jsonl"));
 }
 
 TEST(Serve, StdinLoopMatchesHandlerByteForByte) {

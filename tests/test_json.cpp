@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace dsml::json {
 namespace {
@@ -153,6 +160,91 @@ TEST(JsonParser, TypeMismatchThrows) {
   EXPECT_THROW(v.at("n").items(), IoError);
   EXPECT_THROW(v.at("missing"), IoError);
   EXPECT_THROW(Value::parse("[1]").at("k"), IoError);
+}
+
+// Number tokens go through std::from_chars, with strtod deciding every
+// token from_chars rejects; the value must be strtod's either way.
+TEST(JsonParser, NumberTokensParseToStrtodBits) {
+  const std::vector<std::string> tokens = {
+      "0", "-0", "5", "-5", "+5", ".5", "5.", "0.1", "-2.5e-3", "3E2",
+      "1e999", "-1e999", "1e-400", "4.9406564584124654e-324",
+      "2.2250738585072011e-308", "1.7976931348623157e308", "1e23",
+      "9007199254740993", "123456789012345678901234567890",
+      "0.30000000000000004"};
+  for (const std::string& token : tokens) {
+    const double want = std::strtod(token.c_str(), nullptr);
+    for (const std::string& doc : {token, "[" + token + "]"}) {
+      const Value v = Value::parse(doc);
+      const double got =
+          v.type() == Value::Type::kArray ? v.items()[0].as_number()
+                                          : v.as_number();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << doc;
+    }
+  }
+  // The non-finite sentinels are strings, mapped to strtod's values.
+  for (const char* sentinel : {"Infinity", "-Infinity", "NaN"}) {
+    const Value v = Value::parse(std::string("\"") + sentinel + "\"");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.as_number()),
+              std::bit_cast<std::uint64_t>(std::strtod(sentinel, nullptr)))
+        << sentinel;
+  }
+}
+
+TEST(JsonParser, MalformedNumbersStillRejected) {
+  for (const char* token : {"1e", "--1", "-", "0x10", "1e+", "1.5e-3-2"}) {
+    EXPECT_THROW(Value::parse(token), IoError) << token;
+    EXPECT_THROW(Value::parse(std::string("[") + token + "]"), IoError)
+        << token;
+  }
+}
+
+std::string printf_g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// format_number uses std::to_chars at general precision 17, which the
+// standard defines as printf's "%.17g"; pin that on random bit patterns
+// (every exponent range, denormals included) and the boundary values.
+TEST(JsonWriter, FormatNumberMatchesPrintfG17) {
+  const double edges[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          DBL_MIN,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          1.0,
+                          0.1,
+                          1e21,
+                          1e-7,
+                          123456789012345678.0};
+  for (const double v : edges) EXPECT_EQ(format_number(v), printf_g17(v));
+
+  Rng rng(20261017);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  while (checked < 1'000'000) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    if (format_number(v) != printf_g17(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": " << format_number(v) << " vs " << printf_g17(v);
+    }
+  }
+  // Short decimals and integers, the values requests and answers carry.
+  for (int i = -20000; i <= 20000; ++i) {
+    for (const double v : {i / 1000.0, i * 1024.0, i * 0.1}) {
+      if (format_number(v) != printf_g17(v) && ++mismatches <= 5) {
+        ADD_FAILURE() << format_number(v) << " vs " << printf_g17(v);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(JsonParser, ParseFileErrorsOnMissingPath) {

@@ -143,7 +143,7 @@ TEST(Gemm, MatrixMultiplyDelegatesToBlockedKernel) {
 
 TEST(Transpose, MatchesElementwiseDefinition) {
   Rng rng(51);
-  for (const auto [rows, cols] :
+  for (const auto& [rows, cols] :
        {std::pair<std::size_t, std::size_t>{1, 1},
         {3, 7},
         {32, 32},

@@ -1,5 +1,7 @@
 #include "loadgen.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <mutex>
@@ -136,9 +138,22 @@ struct Report {
   double requests_per_sec = 0, rows_per_sec = 0;
 };
 
+/// CPUs this process may run on: fewer than hardware_concurrency when the
+/// load generator is pinned apart from the server.
+std::uint64_t affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return static_cast<std::uint64_t>(CPU_COUNT(&set));
+}
+
 std::string report_json(const Options& options, const Report& r) {
   json::Writer w;
   w.begin_object().field("schema", "dsml-bench-serve/v1");
+  // The machine, not gated: the committed baseline says where it ran.
+  w.field("hardware_concurrency",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  w.field("affinity_cpus", affinity_cpus());
   w.key("config")
       .begin_object()
       .field("connections", static_cast<std::uint64_t>(options.connections))

@@ -3,10 +3,12 @@
 // JSON-lines prediction requests per connection (rows drawn
 // deterministically from the enumerated design space), verifies every
 // response, and reports latency percentiles and throughput. With --json it
-// emits a machine-readable BENCH_SERVE.json; with --check it gates the
-// deterministic fields (config and ok/error counts) against a committed
-// baseline — timing fields are informational only, because CI wall-clock
-// noise would make a latency gate flap.
+// emits a machine-readable BENCH_SERVE.json, which also records the
+// machine (hardware_concurrency, and the CPUs loadgen's affinity allows);
+// with --check it gates the deterministic fields (config and ok/error
+// counts) against a committed baseline — timing and machine fields are
+// informational only, because CI wall-clock noise would make a latency gate
+// flap.
 #pragma once
 
 #include <cstdint>
