@@ -1,7 +1,9 @@
 #include "dse/sweep.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 
 #include "common/csv.hpp"
@@ -212,17 +214,21 @@ SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
   return shard;
 }
 
-SweepResult merge_sweep_shards(const std::string& app,
-                               const std::vector<SweepShard>& shards) {
+SweepShard merge_sweep_shards(const std::vector<std::size_t>& indices,
+                              const std::vector<SweepShard>& shards) {
+  DSML_REQUIRE(std::adjacent_find(indices.begin(), indices.end(),
+                                  std::greater_equal<>()) == indices.end(),
+               "merge_sweep_shards: indices must be strictly ascending");
   if (shards.empty()) {
     throw StateError("merge_sweep_shards: no shards to merge");
   }
-  SweepResult result;
-  result.app = app;
-  result.cycles.assign(sim::kDesignSpaceSize, 0.0);
+  SweepShard merged;
+  merged.indices = indices;
+  merged.cycles.assign(indices.size(), 0.0);
+  merged.simpoint_count = shards.front().simpoint_count;
+  merged.simulated_instructions = shards.front().simulated_instructions;
 
-  std::vector<std::uint8_t> count(sim::kDesignSpaceSize, 0);
-  bool first = true;
+  std::vector<std::uint8_t> count(indices.size(), 0);
   for (const SweepShard& shard : shards) {
     if (shard.indices.size() != shard.cycles.size()) {
       throw StateError("merge_sweep_shards: shard has " +
@@ -230,29 +236,27 @@ SweepResult merge_sweep_shards(const std::string& app,
                        " indices but " + std::to_string(shard.cycles.size()) +
                        " cycle counts");
     }
-    if (first) {
-      result.simpoint_count = shard.simpoint_count;
-      result.simulated_instructions = shard.simulated_instructions;
-      first = false;
-    } else if (shard.simpoint_count != result.simpoint_count ||
-               shard.simulated_instructions != result.simulated_instructions) {
+    if (shard.simpoint_count != merged.simpoint_count ||
+        shard.simulated_instructions != merged.simulated_instructions) {
       throw StateError(
           "merge_sweep_shards: shards disagree on sweep conditions "
           "(simpoints " +
           std::to_string(shard.simpoint_count) + " vs " +
-          std::to_string(result.simpoint_count) + ", instructions " +
+          std::to_string(merged.simpoint_count) + ", instructions " +
           std::to_string(shard.simulated_instructions) + " vs " +
-          std::to_string(result.simulated_instructions) + ")");
+          std::to_string(merged.simulated_instructions) + ")");
     }
     for (std::size_t i = 0; i < shard.indices.size(); ++i) {
       const std::size_t idx = shard.indices[i];
-      if (idx >= sim::kDesignSpaceSize) {
+      const auto it = std::lower_bound(indices.begin(), indices.end(), idx);
+      if (it == indices.end() || *it != idx) {
         throw StateError("merge_sweep_shards: index " + std::to_string(idx) +
-                         " outside design space of " +
-                         std::to_string(sim::kDesignSpaceSize));
+                         " outside the " + std::to_string(indices.size()) +
+                         " requested");
       }
-      if (count[idx]++ == 0) {
-        result.cycles[idx] = shard.cycles[i];
+      const auto pos = static_cast<std::size_t>(it - indices.begin());
+      if (count[pos]++ == 0) {
+        merged.cycles[pos] = shard.cycles[i];
       }
     }
   }
@@ -269,9 +273,9 @@ SweepResult merge_sweep_shards(const std::string& app,
     throw StateError("merge_sweep_shards: incomplete coverage (" +
                      std::to_string(missing) + " configurations missing, " +
                      std::to_string(duplicated) + " duplicated of " +
-                     std::to_string(sim::kDesignSpaceSize) + ")");
+                     std::to_string(indices.size()) + ")");
   }
-  return result;
+  return merged;
 }
 
 data::Dataset sweep_dataset(const SweepResult& sweep) {

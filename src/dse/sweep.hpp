@@ -90,12 +90,14 @@ SweepShard run_sweep_shard(const std::string& app, const SweepOptions& options,
                            const std::vector<std::size_t>& indices,
                            std::optional<ReducedTrace>& reduced);
 
-/// Reassemble a full SweepResult from shards. Requires exact coverage —
-/// every configuration present exactly once — and identical
-/// simpoints/instructions across shards; throws StateError otherwise, so a
-/// lost shard can never produce a silently partial table.
-SweepResult merge_sweep_shards(const std::string& app,
-                               const std::vector<SweepShard>& shards);
+/// Merges shards into one answer aligned to `indices` (strictly ascending;
+/// the full sweep is 0..4607). Requires exact coverage — every requested
+/// configuration answered exactly once, nothing outside the request — and
+/// identical simpoints/instructions across shards, which the answer carries
+/// once; throws StateError otherwise, so a lost shard can never produce a
+/// silently partial table. Throws InvalidArgument on unordered `indices`.
+SweepShard merge_sweep_shards(const std::vector<std::size_t>& indices,
+                              const std::vector<SweepShard>& shards);
 
 /// The modelling dataset for a sweep: 24 feature columns (Table 1) plus the
 /// cycle-count target.

@@ -9,7 +9,6 @@
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
-#include "common/trace.hpp"
 #include "fleet/hash_ring.hpp"
 #include "fleet/protocol.hpp"
 #include "net/client.hpp"
@@ -78,6 +77,7 @@ GatherResult coordinator_gather(const std::string& app,
   }
 
   GatherResult result;
+  std::vector<dse::SweepShard> shards;
   std::set<std::string> evicted_set;
   std::set<std::string> contributed;
   const auto record_failure = [&](const std::string& label,
@@ -166,7 +166,7 @@ GatherResult coordinator_gather(const std::string& app,
         }
         for (const std::size_t idx : flight.indices) done[idx] = 1;
         missing -= flight.indices.size();
-        result.shards.push_back(dse::SweepShard{
+        shards.push_back(dse::SweepShard{
             std::move(flight.indices), std::move(shard.cycles),
             shard.simpoint_count, shard.simulated_instructions});
         coordinator_metrics().shards.add();
@@ -187,27 +187,8 @@ GatherResult coordinator_gather(const std::string& app,
         " failure(s) recorded");
   }
 
+  result.shard = dse::merge_sweep_shards(indices, shards);
   result.workers_used = contributed.size();
-  return result;
-}
-
-FleetSweepResult coordinator_sweep(const std::string& app,
-                                   const std::vector<Endpoint>& workers,
-                                   const CoordinatorOptions& options) {
-  trace::Span sweep_span([&] { return "fleet.sweep " + app; }, "fleet");
-  trace::Stopwatch timer;
-
-  std::vector<std::size_t> all(sim::kDesignSpaceSize);
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  GatherResult gathered = coordinator_gather(app, workers, options, all);
-
-  FleetSweepResult result;
-  result.failures = std::move(gathered.failures);
-  result.evicted = std::move(gathered.evicted);
-  result.rounds = gathered.rounds;
-  result.workers_used = gathered.workers_used;
-  result.sweep = dse::merge_sweep_shards(app, gathered.shards);
-  result.sweep.seconds = timer.seconds();
   return result;
 }
 

@@ -1,12 +1,13 @@
 // Fleet coordinator: fault-tolerant scatter/gather over the worker fleet.
 //
-// coordinator_sweep partitions the design space across the workers that
-// answer a health ping (consistent hash, hash_ring.hpp), scatters one sweep
-// request per worker, and gathers the shard responses. Every network step
-// runs under a deadline (connect timeout + kernel-enforced I/O timeout), so
-// a dead, wedged, or stalled worker costs one bounded wait, never a hang.
+// coordinator_gather partitions a set of design-space indices across the
+// workers that answer a health ping (consistent hash, hash_ring.hpp),
+// scatters one sweep request per worker, and gathers the shard responses.
+// Every network step runs under a deadline (connect timeout +
+// kernel-enforced I/O timeout), so a dead, wedged, or stalled worker costs
+// one bounded wait, never a hang.
 //
-// Failure model — the invariant is "complete table or loud error, never a
+// Failure model — the invariant is "complete answer or loud error, never a
 // silent partial result":
 //   - a worker that fails ping, dies mid-request (EOF), times out, or
 //     answers ok:false is *evicted for the round*: its failure is recorded
@@ -17,9 +18,9 @@
 //     the survivors, and reassigns only the missing indices — consistent
 //     hashing keeps completed shards where they are;
 //   - after max_rounds, any still-missing indices raise StateError naming
-//     the count. A merged result is checked by dse::merge_sweep_shards for
-//     exact coverage, so the table the caller gets is byte-identical to a
-//     single-process sweep.
+//     the count. The gathered shards are merged by dse::merge_sweep_shards,
+//     which checks exact coverage, so a full-space gather is byte-identical
+//     to a single-process sweep.
 //
 // Failpoints `fleet.coordinator.scatter` / `fleet.coordinator.gather`
 // inject coordinator-side connection failures; the round loop must contain
@@ -55,16 +56,8 @@ struct CoordinatorOptions {
   dse::SweepOptions sweep;
 };
 
-struct FleetSweepResult {
-  dse::SweepResult sweep;                ///< complete merged table
-  std::vector<FailureRecord> failures;   ///< every tolerated worker failure
-  std::vector<std::string> evicted;      ///< endpoints evicted in some round
-  std::size_t rounds = 0;                ///< assignment rounds used
-  std::size_t workers_used = 0;          ///< workers that returned a shard
-};
-
 struct GatherResult {
-  std::vector<dse::SweepShard> shards;   ///< exact coverage of the request
+  dse::SweepShard shard;                 ///< merged answer, request-aligned
   std::vector<FailureRecord> failures;   ///< every tolerated worker failure
   std::vector<std::string> evicted;      ///< endpoints evicted in some round
   std::size_t rounds = 0;                ///< assignment rounds used
@@ -72,23 +65,17 @@ struct GatherResult {
 };
 
 /// The fault-tolerant scatter/gather round loop over an arbitrary index set
-/// (strictly ascending, in-range): re-ping every endpoint each round,
-/// partition the still-missing indices over the survivors by consistent
-/// hash, scatter, gather, evict failures. coordinator_sweep and the
-/// campaign-facing FleetEvaluator are both thin wrappers over this. Throws
-/// InvalidArgument on an empty worker list or malformed index set,
-/// StateError when coverage cannot be completed within max_rounds.
+/// (strictly ascending, in-range; the full sweep is 0..4607): re-ping every
+/// endpoint each round, partition the still-missing indices over the
+/// survivors by consistent hash, scatter, gather, evict failures, then
+/// merge the shards. FleetEvaluator wraps this for campaigns and for the
+/// full-table fleet sweep. Throws InvalidArgument on an empty worker list
+/// or malformed index set, StateError when coverage cannot be completed
+/// within max_rounds (e.g. every worker dead).
 GatherResult coordinator_gather(const std::string& app,
                                 const std::vector<Endpoint>& workers,
                                 const CoordinatorOptions& options,
                                 const std::vector<std::size_t>& indices);
-
-/// Runs the full design-space sweep for `app` across `workers`. Throws
-/// InvalidArgument on an empty worker list, StateError when coverage cannot
-/// be completed within max_rounds (e.g. every worker dead).
-FleetSweepResult coordinator_sweep(const std::string& app,
-                                   const std::vector<Endpoint>& workers,
-                                   const CoordinatorOptions& options);
 
 /// One worker's outcome of a model push.
 struct PushOutcome {

@@ -30,35 +30,7 @@ dse::SweepShard FleetEvaluator::evaluate(
       evicted_.push_back(std::move(label));
     }
   }
-
-  // Flatten the per-worker shards into one response aligned to the request.
-  // coordinator_gather guarantees exact coverage (or throws), so every
-  // requested index appears exactly once across the shards.
-  dse::SweepShard merged;
-  merged.indices = indices;
-  merged.cycles.assign(indices.size(), 0.0);
-  std::vector<std::uint8_t> seen(indices.size(), 0);
-  for (dse::SweepShard& shard : gathered.shards) {
-    DSML_REQUIRE(shard.indices.size() == shard.cycles.size(),
-                 "fleet: malformed shard");
-    for (std::size_t i = 0; i < shard.indices.size(); ++i) {
-      const auto it = std::lower_bound(indices.begin(), indices.end(),
-                                       shard.indices[i]);
-      DSML_REQUIRE(it != indices.end() && *it == shard.indices[i],
-                   "fleet: shard answered an index outside the request");
-      const std::size_t pos =
-          static_cast<std::size_t>(it - indices.begin());
-      DSML_REQUIRE(!seen[pos], "fleet: shard answered an index twice");
-      seen[pos] = 1;
-      merged.cycles[pos] = shard.cycles[i];
-    }
-    merged.simpoint_count += shard.simpoint_count;
-    merged.simulated_instructions += shard.simulated_instructions;
-  }
-  DSML_REQUIRE(std::all_of(seen.begin(), seen.end(),
-                           [](std::uint8_t s) { return s != 0; }),
-               "fleet: gather left requested indices unanswered");
-  return merged;
+  return std::move(gathered.shard);
 }
 
 std::vector<FailureRecord> FleetEvaluator::drain_failures() {

@@ -1,9 +1,10 @@
-// The fleet-backed campaign Evaluator: dse::Campaign asks for an index set,
-// FleetEvaluator answers it via coordinator_gather — the same fault-tolerant
-// scatter/gather round loop the full fleet sweep uses, with the same
-// eviction, re-ping, and bounded-retry semantics. Lives in the fleet layer
-// (which sits above dse) so the campaign engine itself never takes a
-// dependency on networking; tools/cli.cpp wires the two together.
+// The fleet-backed Evaluator: a caller asks for an index set, FleetEvaluator
+// answers it via coordinator_gather's fault-tolerant scatter/gather round
+// loop (eviction, re-ping, bounded retry). dse::Campaign asks it for each
+// round's points; the full-table fleet sweep (`dsml sweep --workers`,
+// `dsml fleet`) asks it for all 4608. Lives in the fleet layer (which sits
+// above dse) so the campaign engine itself never takes a dependency on
+// networking; tools/cli.cpp wires the two together.
 #pragma once
 
 #include <string>

@@ -14,6 +14,7 @@
 #include "engine/registry.hpp"
 #include "engine/schema.hpp"
 #include "engine/serve.hpp"
+#include "fleet/worker.hpp"
 #include "linalg/backend.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -174,6 +175,7 @@ TEST_F(CliTest, UnknownFlagsFailNamingCommandAndFlag) {
       {{"serve", "--models", model, "--f32", "1"}, "--f32"},
       {{"worker", "--listen", "0", "--stall", "5"}, "--stall"},
       {{"dse", "--sampler", "random", "--budgett", "10"}, "--budgett"},
+      {{"dse", "--sampler", "random", "--csv", "t.csv"}, "--csv"},
       {{"fleet", "--app", "mcf", "--worker", "2"}, "--worker"},
       {{"loadgen", "--connect", "127.0.0.1:1", "--conections", "2"},
        "--conections"},
@@ -330,13 +332,134 @@ TEST_F(CliTest, CampaignFlagValidationNamesTheFlag) {
        "unknown objective 'latency' (cycles|pareto)"},
       {{"dse", "--sampler", "greedy"},
        "unknown sampler 'greedy' (random|adaptive)"},
-      {{"dse"}, "dse requires --sampler random|adaptive or --workers"},
+      {{"dse", "--app", "applu", "--sampler", "random", "--budget", "12",
+        "--truth", "--workers", "127.0.0.1:1"},
+       "--truth and --workers are mutually exclusive"},
+      {{"dse"},
+       "dse requires --sampler random|adaptive (the full design-space table "
+       "is dsml sweep"},
+      {{"dse", "--app", "mcf", "--workers", "127.0.0.1:1"},
+       "dse requires --sampler random|adaptive (the full design-space table "
+       "is dsml sweep"},
   };
   for (const auto& c : cases) {
     const auto result = run_cli(c.args);
     EXPECT_EQ(result.exit_code, 1) << c.expect;
     EXPECT_NE(result.err.find(c.expect), std::string::npos) << result.err;
   }
+}
+
+TEST_F(CliTest, FleetFlagsThatCannotTakeEffectFailAtParseTime) {
+  // Rejected before any connection opens or any worker spawns.
+  const struct {
+    std::vector<std::string> args;
+    const char* expect;
+  } cases[] = {
+      {{"dse", "--sampler", "random", "--budget", "12", "--timeout-ms", "5",
+        "--retries", "9"},
+       "--timeout-ms needs --workers"},
+      {{"dse", "--sampler", "random", "--budget", "12", "--workers",
+        "127.0.0.1:1", "--retries", "0"},
+       "--retries must be >= 1"},
+      {{"sweep", "--app", "mcf", "--connect-timeout-ms", "200"},
+       "--connect-timeout-ms needs --workers"},
+      {{"sweep", "--app", "mcf", "--retries", "2"},
+       "--retries needs --workers"},
+      {{"sweep", "--app", "mcf", "--workers", "127.0.0.1:1", "--retries", "0"},
+       "--retries must be >= 1"},
+      {{"fleet", "--app", "mcf", "--retries", "0"}, "--retries must be >= 1"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run_cli(c.args);
+    EXPECT_EQ(result.exit_code, 1) << c.expect;
+    EXPECT_NE(result.err.find(c.expect), std::string::npos) << result.err;
+  }
+}
+
+TEST_F(CliTest, CampaignWithoutASelectRowExitsOne) {
+  // Bind-then-close: a port that refuses connections immediately, so every
+  // round's gather fails and no round selects a model.
+  std::uint16_t dead_port = 0;
+  {
+    net::Server placeholder(net::ServerOptions{},
+                            [](std::string_view) { return std::string(); });
+    dead_port = placeholder.port();
+  }
+  auto args = tiny_sweep_args();
+  args.insert(args.begin(),
+              {"dse", "--app", "mcf", "--sampler", "random", "--budget", "12",
+               "--models", "LR-B", "--workers",
+               "127.0.0.1:" + std::to_string(dead_port), "--retries", "1",
+               "--connect-timeout-ms", "200"});
+  const auto result = run_cli(args);
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.out.find("evaluated 0 of 4608 configurations"),
+            std::string::npos)
+      << result.out;
+  EXPECT_NE(result.out.find("failure(s) tolerated"), std::string::npos)
+      << result.out;
+  EXPECT_NE(result.err.find("no round produced a Select row"),
+            std::string::npos)
+      << result.err;
+}
+
+/// One in-process fleet worker on an ephemeral loopback port, stopped and
+/// joined when it goes out of scope.
+struct LoopbackWorker {
+  engine::ModelRegistry registry;
+  fleet::Worker worker{registry, fleet::WorkerOptions{}};
+  std::thread loop{[this] { worker.run(); }};
+
+  ~LoopbackWorker() {
+    worker.request_stop();
+    loop.join();
+  }
+};
+
+TEST_F(CliTest, FleetSweepCsvIsByteIdenticalToALocalSweep) {
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string fleet_csv = (tmp / "dsml_cli_fleet_sweep.csv").string();
+  const std::string local_csv = (tmp / "dsml_cli_local_sweep.csv").string();
+  std::string endpoints;
+  LoopbackWorker workers[3];
+  for (const LoopbackWorker& w : workers) {
+    if (!endpoints.empty()) endpoints += ",";
+    endpoints += "127.0.0.1:" + std::to_string(w.worker.port());
+  }
+
+  // The fleet sweep runs first, so the workers simulate their shards
+  // instead of slicing the cache the local sweep writes.
+  auto fleet_args = tiny_sweep_args();
+  fleet_args.insert(fleet_args.begin(), {"sweep", "--app", "mcf", "--workers",
+                                         endpoints, "--csv", fleet_csv});
+  const auto fleet_run = run_cli(fleet_args);
+  ASSERT_EQ(fleet_run.exit_code, 0) << fleet_run.err;
+  auto local_args = tiny_sweep_args();
+  local_args.insert(local_args.begin(),
+                    {"sweep", "--app", "mcf", "--csv", local_csv});
+  const auto local_run = run_cli(local_args);
+  ASSERT_EQ(local_run.exit_code, 0) << local_run.err;
+
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  EXPECT_EQ(read(fleet_csv), read(local_csv));
+  const auto first_line = [](const std::string& text) {
+    std::string line = text.substr(0, text.find('\n'));
+    const std::size_t cache = line.find(" [cache]");
+    return cache == std::string::npos ? line : line.erase(cache);
+  };
+  EXPECT_EQ(first_line(fleet_run.out), first_line(local_run.out));
+  EXPECT_NE(fleet_run.out.find("4608 configurations"), std::string::npos)
+      << fleet_run.out;
+  EXPECT_NE(fleet_run.out.find("wrote 4608 rows to " + fleet_csv),
+            std::string::npos)
+      << fleet_run.out;
+  std::filesystem::remove(fleet_csv);
+  std::filesystem::remove(local_csv);
 }
 
 TEST_F(CliTest, ChronoExperimentRuns) {

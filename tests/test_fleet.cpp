@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +57,13 @@ const dse::SweepResult& golden() {
   static const dse::SweepResult result =
       dse::run_design_space_sweep("mcf", tiny_sweep());
   return result;
+}
+
+/// Every design-space index: the full sweep as an index set.
+std::vector<std::size_t> all_indices() {
+  std::vector<std::size_t> all(sim::kDesignSpaceSize);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
 }
 
 WorkerOptions loopback_worker() {
@@ -287,13 +295,31 @@ TEST(SweepMerge, ReassemblesTheExactFullSweep) {
   for (std::size_t i = 0; i < sim::kDesignSpaceSize; ++i) {
     (i % 2 == 0 ? evens : odds).push_back(i);
   }
-  const dse::SweepResult merged = dse::merge_sweep_shards(
-      "mcf", {slice_of_golden(std::move(evens)),
-              slice_of_golden(std::move(odds))});
+  const dse::SweepShard merged = dse::merge_sweep_shards(
+      all_indices(), {slice_of_golden(std::move(evens)),
+                      slice_of_golden(std::move(odds))});
+  EXPECT_EQ(merged.indices, all_indices());
   ASSERT_EQ(merged.cycles.size(), golden().cycles.size());
   EXPECT_EQ(merged.cycles, golden().cycles);  // bit-identical
   EXPECT_EQ(merged.simpoint_count, golden().simpoint_count);
   EXPECT_EQ(merged.simulated_instructions, golden().simulated_instructions);
+}
+
+TEST(SweepMerge, AlignsAnIndexSubsetToTheRequest) {
+  const std::vector<std::size_t> request = {3, 100, 777, 4607};
+  const dse::SweepShard merged = dse::merge_sweep_shards(
+      request, {slice_of_golden({777, 3}), slice_of_golden({4607, 100})});
+  EXPECT_EQ(merged.indices, request);
+  ASSERT_EQ(merged.cycles.size(), request.size());
+  for (std::size_t i = 0; i < request.size(); ++i) {
+    EXPECT_EQ(merged.cycles[i], golden().cycles[request[i]]) << request[i];
+  }
+  // Two shards each repeat the sweep's conditions; the answer carries them
+  // once.
+  EXPECT_EQ(merged.simpoint_count, golden().simpoint_count);
+  EXPECT_EQ(merged.simulated_instructions, golden().simulated_instructions);
+  EXPECT_THROW(dse::merge_sweep_shards({100, 3}, {slice_of_golden({3, 100})}),
+               InvalidArgument);  // request not ascending
 }
 
 TEST(SweepMerge, RefusesSilentPartialCoverage) {
@@ -302,20 +328,23 @@ TEST(SweepMerge, RefusesSilentPartialCoverage) {
     all_but_one.push_back(i);
   }
   EXPECT_THROW(
-      dse::merge_sweep_shards("mcf", {slice_of_golden(all_but_one)}),
+      dse::merge_sweep_shards(all_indices(), {slice_of_golden(all_but_one)}),
       StateError);  // one missing configuration
   std::vector<std::size_t> everything = all_but_one;
   everything.push_back(0);
   dse::SweepShard dup = slice_of_golden({0});
   EXPECT_THROW(dse::merge_sweep_shards(
-                   "mcf", {slice_of_golden(everything), dup}),
+                   all_indices(), {slice_of_golden(everything), dup}),
                StateError);  // index 0 covered twice
   dse::SweepShard skewed = slice_of_golden({0});
   skewed.simpoint_count += 1;  // simulated under different conditions
   EXPECT_THROW(dse::merge_sweep_shards(
-                   "mcf", {slice_of_golden(all_but_one), skewed}),
+                   all_indices(), {slice_of_golden(all_but_one), skewed}),
                StateError);
-  EXPECT_THROW(dse::merge_sweep_shards("mcf", {}), StateError);
+  EXPECT_THROW(dse::merge_sweep_shards(all_indices(), {}), StateError);
+  // An answer outside the request is refused, not dropped.
+  EXPECT_THROW(dse::merge_sweep_shards({1, 2}, {slice_of_golden({1, 2, 3})}),
+               StateError);
 }
 
 // ------------------------------------------------------------------ worker --
@@ -434,16 +463,16 @@ TEST(Coordinator, ParsesAndValidatesEndpoints) {
   EXPECT_THROW(parse_endpoint("h:0"), InvalidArgument);
   EXPECT_THROW(parse_endpoint("h:70000"), InvalidArgument);
   EXPECT_THROW(parse_endpoint(":9000"), InvalidArgument);
-  EXPECT_THROW(coordinator_sweep("mcf", {}, fast_coordinator()),
+  EXPECT_THROW(coordinator_gather("mcf", {}, fast_coordinator(), all_indices()),
                InvalidArgument);
 }
 
 TEST(Coordinator, ShardedSweepMatchesLocalSweepBitForBit) {
   Fleet fleet(3);
-  const FleetSweepResult result =
-      coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-  EXPECT_EQ(result.sweep.cycles, golden().cycles);  // bit-identical
-  EXPECT_EQ(result.sweep.simpoint_count, golden().simpoint_count);
+  const GatherResult result = coordinator_gather(
+      "mcf", fleet.endpoints(), fast_coordinator(), all_indices());
+  EXPECT_EQ(result.shard.cycles, golden().cycles);  // bit-identical
+  EXPECT_EQ(result.shard.simpoint_count, golden().simpoint_count);
   EXPECT_EQ(result.rounds, 1u);
   EXPECT_EQ(result.workers_used, 3u);
   EXPECT_TRUE(result.failures.empty());
@@ -477,11 +506,11 @@ TEST(Coordinator, WorkerDeathMidSweepIsReassignedToSurvivors) {
     hostile.reset();
   });
 
-  const FleetSweepResult result =
-      coordinator_sweep("mcf", endpoints, fast_coordinator());
+  const GatherResult result =
+      coordinator_gather("mcf", endpoints, fast_coordinator(), all_indices());
   hostile_thread.join();
 
-  EXPECT_EQ(result.sweep.cycles, golden().cycles);  // still bit-identical
+  EXPECT_EQ(result.shard.cycles, golden().cycles);  // still bit-identical
   EXPECT_EQ(result.rounds, 2u);
   EXPECT_EQ(result.workers_used, 2u);
   ASSERT_EQ(result.evicted.size(), 1u);
@@ -493,9 +522,9 @@ TEST(Coordinator, WorkerDeathMidSweepIsReassignedToSurvivors) {
 TEST(Coordinator, WorkerSweepFailpointIsRetriedElsewhere) {
   failpoint::ScopedFailpoints armed("fleet.worker.sweep=nth:1");
   Fleet fleet(2);
-  const FleetSweepResult result =
-      coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-  EXPECT_EQ(result.sweep.cycles, golden().cycles);
+  const GatherResult result = coordinator_gather(
+      "mcf", fleet.endpoints(), fast_coordinator(), all_indices());
+  EXPECT_EQ(result.shard.cycles, golden().cycles);
   EXPECT_EQ(result.rounds, 2u);
   ASSERT_EQ(result.failures.size(), 1u);
   // nth triggers throw NumericalError; the remote taxonomy survives the wire.
@@ -508,9 +537,9 @@ TEST(Coordinator, CoordinatorSideFailpointsAreContained) {
                            "fleet.coordinator.gather=nth:1"}) {
     failpoint::ScopedFailpoints armed(spec);
     Fleet fleet(2);
-    const FleetSweepResult result =
-        coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-    EXPECT_EQ(result.sweep.cycles, golden().cycles) << spec;
+    const GatherResult result = coordinator_gather(
+        "mcf", fleet.endpoints(), fast_coordinator(), all_indices());
+    EXPECT_EQ(result.shard.cycles, golden().cycles) << spec;
     EXPECT_EQ(result.rounds, 2u) << spec;
     EXPECT_FALSE(result.failures.empty()) << spec;
   }
@@ -524,9 +553,9 @@ TEST(Coordinator, TransportFailpointsAreContained) {
        {"net.accept=nth:1", "net.read=nth:1", "net.write=nth:1"}) {
     failpoint::ScopedFailpoints armed(spec);
     Fleet fleet(1);
-    const FleetSweepResult result =
-        coordinator_sweep("mcf", fleet.endpoints(), fast_coordinator());
-    EXPECT_EQ(result.sweep.cycles, golden().cycles) << spec;
+    const GatherResult result = coordinator_gather(
+        "mcf", fleet.endpoints(), fast_coordinator(), all_indices());
+    EXPECT_EQ(result.shard.cycles, golden().cycles) << spec;
     EXPECT_EQ(result.rounds, 2u) << spec;
     EXPECT_FALSE(result.failures.empty()) << spec;
   }
@@ -544,7 +573,8 @@ TEST(Coordinator, AllWorkersDeadIsALoudError) {
   CoordinatorOptions options = fast_coordinator(/*max_rounds=*/2);
   options.connect_timeout_ms = 500;
   try {
-    coordinator_sweep("mcf", {{"127.0.0.1", dead_port}}, options);
+    coordinator_gather("mcf", {{"127.0.0.1", dead_port}}, options,
+                       all_indices());
     FAIL() << "expected StateError";
   } catch (const StateError& e) {
     EXPECT_NE(std::string(e.what()).find("unassigned"), std::string::npos)
@@ -585,6 +615,17 @@ TEST(FleetEvaluator, GathersArbitraryIndexSetsBitForBit) {
   EXPECT_THROW(evaluator.evaluate({}), InvalidArgument);
   EXPECT_THROW(evaluator.evaluate({5, 5}), InvalidArgument);
   EXPECT_THROW(evaluator.evaluate({sim::kDesignSpaceSize}), InvalidArgument);
+}
+
+TEST(FleetEvaluator, FullSpaceAnswerCarriesTheSweepsSimPointNumbers) {
+  // Each of the three workers' shards repeats the sweep's SimPoint count
+  // and trace length; the answer carries them once, not their sum.
+  Fleet fleet(3);
+  FleetEvaluator evaluator("mcf", fleet.endpoints(), fast_coordinator());
+  const dse::SweepShard answer = evaluator.evaluate(all_indices());
+  EXPECT_EQ(answer.cycles, golden().cycles);
+  EXPECT_EQ(answer.simpoint_count, golden().simpoint_count);
+  EXPECT_EQ(answer.simulated_instructions, golden().simulated_instructions);
 }
 
 TEST(FleetEvaluator, CampaignMatchesTheDatasetEvaluatorBitForBit) {

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -192,23 +193,6 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out) {
   out << "models:";
   for (const auto& name : ml::all_model_names()) out << ' ' << name;
   out << "\n";
-  return 0;
-}
-
-int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
-  const Options opt = parse_options(args, kSweepFlags + Flags{"app", "csv"});
-  const std::string app = opt.get_or("app", "mcf");
-  const dse::SweepResult sweep =
-      dse::run_design_space_sweep(app, sweep_options_from(opt));
-  out << "app " << app << ": " << sweep.cycles.size() << " configurations, "
-      << sweep.simpoint_count << " simpoints, "
-      << sweep.simulated_instructions << " instr/config"
-      << (sweep.from_cache ? " [cache]" : "") << "\n";
-  if (const auto path = opt.get("csv")) {
-    const data::Dataset ds = dse::sweep_dataset(sweep);
-    csv::write_file(*path, ds.to_csv());
-    out << "wrote " << ds.n_rows() << " rows to " << *path << "\n";
-  }
   return 0;
 }
 
@@ -566,11 +550,22 @@ int cmd_worker(const std::vector<std::string>& args, std::ostream& err) {
   return 0;
 }
 
-/// The flags coordinator_options_from reads.
-const Flags kCoordinatorFlags =
-    kSweepFlags + Flags{"connect-timeout-ms", "timeout-ms", "retries"};
+/// The FLEET flags coordinator_options_from reads (besides SWEEP).
+const Flags kFleetFlags = {"connect-timeout-ms", "timeout-ms", "retries"};
 
-fleet::CoordinatorOptions coordinator_options_from(const Options& opt) {
+/// Reads the SWEEP and FLEET flags. `fleet_runs` is false for `sweep` and
+/// `dse` without --workers: no coordinator runs there, so a FLEET flag is
+/// an error naming it, not a silent no-op.
+fleet::CoordinatorOptions coordinator_options_from(const Options& opt,
+                                                   bool fleet_runs) {
+  if (!fleet_runs) {
+    for (const std::string_view flag : kFleetFlags) {
+      if (opt.get(std::string(flag))) {
+        throw InvalidArgument("--" + std::string(flag) +
+                              " needs --workers H:P,...");
+      }
+    }
+  }
   fleet::CoordinatorOptions options;
   options.sweep = sweep_options_from(opt);
   options.connect_timeout_ms = static_cast<std::uint32_t>(
@@ -579,29 +574,8 @@ fleet::CoordinatorOptions coordinator_options_from(const Options& opt) {
   options.request_timeout_ms = static_cast<std::uint32_t>(
       parse_count_flag(opt, "timeout-ms", "120000"));
   options.max_rounds = parse_count_flag(opt, "retries", "3");
+  if (options.max_rounds == 0) throw InvalidArgument("--retries must be >= 1");
   return options;
-}
-
-/// Shared tail of `dsml dse` / `dsml fleet`: print the merged table
-/// summary, optionally write the dataset CSV (byte-identical to
-/// `dsml sweep --csv` of the same app/options), report evictions and
-/// tolerated failures.
-void report_fleet_sweep(const std::string& app,
-                        const fleet::FleetSweepResult& result,
-                        const Options& opt, std::ostream& out) {
-  out << "app " << app << ": " << result.sweep.cycles.size()
-      << " configurations from " << result.workers_used << " worker(s) in "
-      << result.rounds << " round(s)\n";
-  if (const auto path = opt.get("csv")) {
-    const data::Dataset ds = dse::sweep_dataset(result.sweep);
-    csv::write_file(*path, ds.to_csv());
-    out << "wrote " << ds.n_rows() << " rows to " << *path << "\n";
-  }
-  if (!result.evicted.empty()) {
-    out << "evicted " << result.evicted.size() << " worker(s): "
-        << strings::join(result.evicted, ", ") << "\n";
-  }
-  print_failures(result.failures, out);
 }
 
 std::vector<fleet::Endpoint> parse_worker_endpoints(const std::string& spec) {
@@ -610,6 +584,66 @@ std::vector<fleet::Endpoint> parse_worker_endpoints(const std::string& spec) {
     endpoints.push_back(fleet::parse_endpoint(part));
   }
   return endpoints;
+}
+
+void print_evictions(const fleet::FleetEvaluator& evaluator,
+                     std::ostream& out) {
+  if (evaluator.evicted().empty()) return;
+  out << "evicted " << evaluator.evicted().size() << " worker(s): "
+      << strings::join(evaluator.evicted(), ", ") << "\n";
+}
+
+/// Prints a full sweep's summary line and, with --csv, writes its dataset:
+/// the same lines whether the table came from this process or a fleet.
+void report_sweep(const dse::SweepResult& sweep, const Options& opt,
+                  std::ostream& out) {
+  out << "app " << sweep.app << ": " << sweep.cycles.size()
+      << " configurations, " << sweep.simpoint_count << " simpoints, "
+      << sweep.simulated_instructions << " instr/config"
+      << (sweep.from_cache ? " [cache]" : "") << "\n";
+  if (const auto path = opt.get("csv")) {
+    const data::Dataset ds = dse::sweep_dataset(sweep);
+    csv::write_file(*path, ds.to_csv());
+    out << "wrote " << ds.n_rows() << " rows to " << *path << "\n";
+  }
+}
+
+/// The full-table sweep across a worker fleet, for `sweep --workers` and
+/// `fleet`: one FleetEvaluator asked for every configuration. The
+/// coordinator reads and writes no sweep cache (each worker consults its
+/// own), and an incomplete gather throws StateError, never a partial table.
+void fleet_sweep(const std::string& app, std::vector<fleet::Endpoint> workers,
+                 const fleet::CoordinatorOptions& options, const Options& opt,
+                 std::ostream& out) {
+  std::vector<std::size_t> all(sim::kDesignSpaceSize);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  fleet::FleetEvaluator evaluator(app, std::move(workers), options);
+  dse::SweepShard table = evaluator.evaluate(all);
+  dse::SweepResult sweep;
+  sweep.app = app;
+  sweep.cycles = std::move(table.cycles);
+  sweep.simpoint_count = table.simpoint_count;
+  sweep.simulated_instructions = table.simulated_instructions;
+  report_sweep(sweep, opt, out);
+  print_evictions(evaluator, out);
+  print_failures(evaluator.drain_failures(), out);
+}
+
+/// `dsml sweep`: the full design-space table, simulated here (and cached)
+/// or, with --workers, sharded across a running worker fleet.
+int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(
+      args, kSweepFlags + kFleetFlags + Flags{"app", "workers", "csv"});
+  const std::string app = opt.get_or("app", "mcf");
+  const auto workers = opt.get("workers");
+  const fleet::CoordinatorOptions options =
+      coordinator_options_from(opt, workers.has_value());
+  if (workers) {
+    fleet_sweep(app, parse_worker_endpoints(*workers), options, opt, out);
+  } else {
+    report_sweep(dse::run_design_space_sweep(app, options.sweep), opt, out);
+  }
+  return 0;
 }
 
 /// The campaign's simulation budget: `--budget N` directly, or
@@ -647,17 +681,36 @@ std::size_t campaign_budget(const Options& opt) {
               static_cast<double>(sim::kDesignSpaceSize) * rate));
 }
 
-/// `dsml dse --sampler random|adaptive`: campaign mode — run the
-/// select/evaluate/retrain/score loop against a ground-truth Evaluator:
+/// `dsml dse --sampler random|adaptive`: run the select/evaluate/retrain/
+/// score campaign loop against a ground-truth Evaluator:
 ///   --workers H:P,...   the fleet coordinator (eviction + retry),
-///   --truth 1           the full (cached) sweep, so true error is reported,
+///   --truth             the full (cached) sweep, so true error is reported,
 ///   (neither)           local in-process shard simulation.
-int cmd_dse_campaign(const Options& opt, const std::string& app,
-                     const std::string& sampler_name, std::ostream& out) {
+/// The full design-space table is `dsml sweep`'s job. A campaign in which
+/// no round produced a Select row has no answer and exits 1.
+int cmd_dse(const std::vector<std::string>& args, std::ostream& out) {
+  const Options opt = parse_options(
+      args, kSweepFlags + kFleetFlags +
+                Flags{"app", "workers", "sampler", "budget", "sample-rate",
+                      "rounds", "objective", "models", "seed", "truth"});
+  const std::string app = opt.get_or("app", "mcf");
+  const auto sampler_name = opt.get("sampler");
+  if (!sampler_name) {
+    throw InvalidArgument(
+        "dse requires --sampler random|adaptive (the full design-space "
+        "table is dsml sweep [--workers H:P,...])");
+  }
+  const auto workers = opt.get("workers");
+  const bool truth = opt.get_or("truth", "0") == "1";
+  if (truth && workers) {
+    throw InvalidArgument("--truth and --workers are mutually exclusive");
+  }
+  const fleet::CoordinatorOptions options =
+      coordinator_options_from(opt, workers.has_value());
   const std::size_t budget = campaign_budget(opt);
   const std::uint64_t seed = parse_count_flag(opt, "seed", "7");
   const std::unique_ptr<dse::Sampler> sampler =
-      dse::make_sampler(sampler_name, seed, app);
+      dse::make_sampler(*sampler_name, seed, app);
   // Adaptive needs rounds to react between batches; random keeps the paper's
   // one-shot protocol unless asked otherwise.
   const std::size_t rounds = parse_count_flag(
@@ -676,20 +729,19 @@ int cmd_dse_campaign(const Options& opt, const std::string& app,
   data::Dataset space;
   std::unique_ptr<dse::Evaluator> evaluator;
   fleet::FleetEvaluator* fleet_evaluator = nullptr;
-  if (const auto workers = opt.get("workers")) {
+  if (workers) {
     space = sim::make_config_dataset(sim::enumerate_design_space());
     auto fe = std::make_unique<fleet::FleetEvaluator>(
-        app, parse_worker_endpoints(*workers), coordinator_options_from(opt));
+        app, parse_worker_endpoints(*workers), options);
     fleet_evaluator = fe.get();
     evaluator = std::move(fe);
-  } else if (opt.get_or("truth", "0") == "1") {
-    space = dse::sweep_dataset(
-        dse::run_design_space_sweep(app, sweep_options_from(opt)));
+  } else if (truth) {
+    space = dse::sweep_dataset(dse::run_design_space_sweep(app, options.sweep));
     evaluator = std::make_unique<dse::DatasetEvaluator>(space);
   } else {
     space = sim::make_config_dataset(sim::enumerate_design_space());
-    evaluator = std::make_unique<dse::LocalSweepEvaluator>(
-        app, sweep_options_from(opt));
+    evaluator =
+        std::make_unique<dse::LocalSweepEvaluator>(app, options.sweep);
   }
   const bool has_truth = space.has_target();
 
@@ -758,54 +810,27 @@ int cmd_dse_campaign(const Options& opt, const std::string& app,
           << " by predicted cycles)\n";
     }
   }
-  if (fleet_evaluator && !fleet_evaluator->evicted().empty()) {
-    out << "evicted " << fleet_evaluator->evicted().size() << " worker(s): "
-        << strings::join(fleet_evaluator->evicted(), ", ") << "\n";
-  }
+  if (fleet_evaluator) print_evictions(*fleet_evaluator, out);
   print_failures(result.failures, out);
-  return 0;
-}
-
-/// `dsml dse`: two modes sharing one command.
-///   --sampler random|adaptive   campaign mode (cmd_dse_campaign above);
-///   --workers H:P,... (alone)   legacy coordinator mode — shard the *full*
-///                               design space across an already-running
-///                               worker fleet, gather, merge. Exits non-zero
-///                               (StateError) if coverage cannot be
-///                               completed, never with a silently partial
-///                               table.
-int cmd_dse(const std::vector<std::string>& args, std::ostream& out) {
-  const Options opt = parse_options(
-      args, kCoordinatorFlags +
-                Flags{"app", "workers", "csv", "sampler", "budget",
-                      "sample-rate", "rounds", "objective", "models", "seed",
-                      "truth"});
-  const std::string app = opt.get_or("app", "mcf");
-  if (const auto sampler = opt.get("sampler")) {
-    return cmd_dse_campaign(opt, app, *sampler, out);
+  if (!result.final_round()) {
+    throw StateError("dse " + app + ": no round produced a Select row");
   }
-  const auto workers = opt.get("workers");
-  if (!workers) {
-    throw InvalidArgument(
-        "dse requires --sampler random|adaptive or --workers "
-        "host:port[,host:port...]");
-  }
-  const fleet::FleetSweepResult result = fleet::coordinator_sweep(
-      app, parse_worker_endpoints(*workers), coordinator_options_from(opt));
-  report_fleet_sweep(app, result, opt, out);
   return 0;
 }
 
 /// `dsml fleet --app A --workers N`: supervisor mode — fork/exec N `dsml
 /// worker --listen-fd` children (respawning crashed ones with capped
-/// exponential backoff), run the sharded sweep against them, then stop the
+/// exponential backoff), run `sweep --workers` against them, then stop the
 /// fleet. One command, end to end, for the distributed-DSE smoke test.
 int cmd_fleet(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
   const Options opt = parse_options(
-      args, kCoordinatorFlags + Flags{"app", "workers", "bind", "port-base",
-                                      "max-respawns", "models", "csv"});
+      args, kSweepFlags + kFleetFlags +
+                Flags{"app", "workers", "bind", "port-base", "max-respawns",
+                      "models", "csv"});
   const std::string app = opt.get_or("app", "mcf");
+  const fleet::CoordinatorOptions options =
+      coordinator_options_from(opt, /*fleet_runs=*/true);
   fleet::SupervisorOptions sup;
   sup.workers = parse_count_flag(opt, "workers", "3");
   sup.bind_address = opt.get_or("bind", "127.0.0.1");
@@ -845,9 +870,7 @@ int cmd_fleet(const std::vector<std::string>& args, std::ostream& out,
 
   int rc = 0;
   try {
-    const fleet::FleetSweepResult result = fleet::coordinator_sweep(
-        app, supervisor.endpoints(), coordinator_options_from(opt));
-    report_fleet_sweep(app, result, opt, out);
+    fleet_sweep(app, supervisor.endpoints(), options, opt, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     rc = 1;
@@ -951,7 +974,10 @@ std::string usage() {
       "\n"
       "commands:\n"
       "  list                              enumerate apps, families, models\n"
-      "  sweep   --app A [SWEEP] [--csv F]\n"
+      "  sweep   --app A [SWEEP] [--csv F] [--workers H:P,... [FLEET]]\n"
+      "                                    the full design-space table, here\n"
+      "                                    or sharded across a worker fleet\n"
+      "                                    (complete table or loud error)\n"
       "  sampled --app A [--rates R1,R2] [--models M1,M2] [SWEEP]\n"
       "  chrono  --family F [--target int|fp|app:<i>] [--models M1,M2]\n"
       "  train   --app A --rate R --model M --out F [--seed S] [SWEEP]\n"
@@ -971,24 +997,19 @@ std::string usage() {
       "                                    (see docs/FLEET.md)\n"
       "  dse     --app A --sampler random|adaptive [--budget N | \n"
       "          --sample-rate R] [--rounds K] [--objective cycles|pareto]\n"
-      "          [--models M1,M2] [--seed S] [--truth] [SWEEP]\n"
-      "          [--workers H:P,... [FLEET]]\n"
-      "                                    campaign mode: select/evaluate/\n"
-      "                                    retrain/score rounds against a\n"
-      "                                    local, cached-truth (--truth), or\n"
-      "                                    fleet (--workers) evaluator\n"
-      "                                    (see docs/DSE.md)\n"
-      "  dse     --app A --workers H:P[,H:P...] [SWEEP] [--csv F] [FLEET]\n"
-      "                                    shard the full design-space sweep\n"
-      "                                    across a worker fleet; fault-\n"
-      "                                    tolerant merge (complete table or\n"
-      "                                    loud error)\n"
+      "          [--models M1,M2] [--seed S] [SWEEP]\n"
+      "          [--truth | --workers H:P,... [FLEET]]\n"
+      "                                    campaign: select/evaluate/retrain/\n"
+      "                                    score rounds against a local,\n"
+      "                                    cached-truth (--truth), or fleet\n"
+      "                                    (--workers) evaluator; exits 1 if\n"
+      "                                    no round selects (see docs/DSE.md)\n"
       "  fleet   --app A [--workers N] [--bind A] [--port-base P]\n"
       "          [--models N=F,...] [--max-respawns N] [SWEEP] [--csv F]\n"
       "          [FLEET]\n"
       "                                    supervise a local worker fleet\n"
       "                                    (crash -> respawn with backoff) and\n"
-      "                                    run the sharded sweep against it\n"
+      "                                    run sweep --workers against it\n"
       "  loadgen --connect H:P [--connections N] [--requests M] [--rows R]\n"
       "          [--model N] [--json F] [--check F] [--timeout-ms N]\n"
       "                                    drive a --listen server, report\n"
@@ -1004,8 +1025,9 @@ std::string usage() {
       "                     simulated trace length, SimPoint interval, and\n"
       "                     SimPoint cap (defaults 600000, 30000, 4)\n"
       "  FLEET = --timeout-ms N --retries N --connect-timeout-ms N\n"
-      "                     shard I/O deadline, assignment rounds, and\n"
-      "                     connect/ping deadline (defaults 120000, 3, 2000)\n"
+      "                     shard I/O deadline, assignment rounds (>= 1), and\n"
+      "                     connect/ping deadline (defaults 120000, 3, 2000);\n"
+      "                     sweep and dse accept them only with --workers\n"
       "  Every command rejects flags it does not list.\n"
       "\n"
       "global options:\n"
