@@ -1,10 +1,12 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/metrics.hpp"
 
@@ -12,36 +14,44 @@ namespace dsml {
 
 namespace {
 
-/// Set for the lifetime of every worker thread (any pool). Nested
-/// parallel_for consults it to avoid submitting to a pool whose workers may
-/// all be blocked waiting on the nested loop's futures.
-thread_local bool tls_in_worker = false;
-
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("DSML_THREADS"); env && *env) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
+  const char* env = std::getenv("DSML_THREADS");
+  if (env == nullptr || *env == '\0') {
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  // from_chars on an unsigned type takes digits only: no sign, no
+  // whitespace, and out-of-range values fail instead of wrapping.
+  const std::string_view text(env);
+  std::size_t threads = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), threads);
+  if (ec != std::errc() || ptr != text.data() + text.size() || threads == 0) {
+    throw InvalidArgument("DSML_THREADS='" + std::string(text) +
+                          "' is not a thread count (expected a decimal "
+                          "integer >= 1)");
+  }
+  return threads;
 }
 
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] {
-      tls_in_worker = true;
-      worker_loop();
-    });
+  try {
+    workers_.reserve(threads);
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A vector of joinable threads must not be destroyed.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() noexcept {
   {
     std::lock_guard lock(mutex_);
     stopping_ = true;
@@ -66,8 +76,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool ThreadPool::in_worker_thread() noexcept { return tls_in_worker; }
-
 void ThreadPool::note_task_submitted() noexcept {
   static metrics::Counter& tasks = metrics::counter("pool.tasks");
   tasks.add();
@@ -86,47 +94,104 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+namespace {
+
+/// One parallel_for's shared state. Chunks are claimed from `next_` under
+/// `mutex_`; `running_` counts chunks claimed and not yet finished. Helpers
+/// own the state through a shared_ptr, so a helper dequeued after the loop
+/// has drained finds no chunk left and returns without touching `fn`, which
+/// lives on the caller's stack.
+class Loop {
+ public:
+  Loop(std::size_t begin, std::size_t end, std::size_t grain,
+       const std::function<void(std::size_t)>& fn)
+      : fn_(fn), next_(begin), end_(end), grain_(grain) {}
+
+  /// A helper's share: run chunks until none is left.
+  void help() {
+    std::unique_lock lock(mutex_);
+    work(lock);
+  }
+
+  /// The caller's share: run chunks until none is left, wait for the chunks
+  /// other threads claimed, then rethrow the first error.
+  void run() {
+    std::unique_lock lock(mutex_);
+    work(lock);
+    finished_.wait(lock, [this] { return running_ == 0; });
+    // Moved out, so the exception dies on this thread rather than with the
+    // last helper's reference to the loop.
+    if (std::exception_ptr error = std::move(error_)) {
+      std::rethrow_exception(error);
+    }
+  }
+
+ private:
+  void work(std::unique_lock<std::mutex>& lock) {
+    while (next_ < end_) {
+      const std::size_t chunk_begin = next_;
+      const std::size_t chunk_end =
+          end_ - chunk_begin > grain_ ? chunk_begin + grain_ : end_;
+      next_ = chunk_end;
+      ++running_;
+      lock.unlock();
+      std::exception_ptr thrown;
+      try {
+        for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn_(i);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      lock.lock();
+      --running_;
+      if (thrown) {
+        if (!error_) error_ = std::move(thrown);
+        next_ = end_;  // chunks nobody has claimed are skipped
+      }
+    }
+    // Nothing is left to claim, so the caller may be waiting on running_.
+    if (running_ == 0) finished_.notify_all();
+  }
+
+  const std::function<void(std::size_t)>& fn_;
+  std::mutex mutex_;
+  std::condition_variable finished_;
+  std::size_t next_;
+  const std::size_t end_;
+  const std::size_t grain_;
+  std::size_t running_ = 0;
+  std::exception_ptr error_;
+};
+
+}  // namespace
+
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t workers = pool.size();
-  if (workers <= 1 || n == 1 || ThreadPool::in_worker_thread()) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
   if (grain == 0) {
     grain = std::max<std::size_t>(1, n / (workers * 4));
   }
-  std::atomic<std::size_t> next{begin};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::future<void>> futures;
-  const std::size_t tasks = std::min(workers, (n + grain - 1) / grain);
-  futures.reserve(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    futures.push_back(pool.submit([&] {
-      for (;;) {
-        const std::size_t chunk_begin =
-            next.fetch_add(grain, std::memory_order_relaxed);
-        if (chunk_begin >= end) return;
-        const std::size_t chunk_end = std::min(chunk_begin + grain, end);
-        try {
-          for (std::size_t i = chunk_begin; i < chunk_end; ++i) fn(i);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          return;
-        }
-      }
-    }));
+  const std::size_t chunks = (n - 1) / grain + 1;
+  const std::size_t helpers = std::min(workers, chunks) - 1;
+  if (helpers == 0) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
   }
-  // future::wait() on each task's shared state gives the release/acquire
-  // edge that makes the workers' writes (fn side effects and first_error)
-  // visible here.
-  for (auto& f : futures) f.wait();
-  if (first_error) std::rethrow_exception(first_error);
+  const auto loop = std::make_shared<Loop>(begin, end, grain, fn);
+  std::exception_ptr submit_error;
+  try {
+    for (std::size_t h = 0; h < helpers; ++h) {
+      pool.submit([loop] { loop->help(); });
+    }
+  } catch (...) {
+    // Helpers queued before the failure may still start, so the loop must
+    // finish before the error leaves this frame.
+    submit_error = std::current_exception();
+  }
+  loop->run();
+  if (submit_error) std::rethrow_exception(submit_error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

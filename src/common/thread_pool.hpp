@@ -8,12 +8,17 @@
 //
 // Concurrency contract (audited under ThreadSanitizer; see
 // docs/STATIC_ANALYSIS.md):
-//  - All queue/stop state is guarded by one mutex; completion is observed
-//    through the futures returned by submit(), whose shared state provides
-//    the necessary release/acquire ordering.
-//  - parallel_for called from inside a worker thread (of any pool) runs the
-//    loop inline rather than re-submitting, so nested parallelism cannot
-//    deadlock a fully busy pool.
+//  - All queue/stop state is guarded by one mutex; completion of submit()
+//    tasks is observed through the futures it returns, whose shared state
+//    provides the necessary release/acquire ordering.
+//  - parallel_for's caller runs chunks of its own loop beside at most
+//    size()-1 helper tasks, and waits only for chunks that a running thread
+//    has already claimed. A nested loop (called from inside a chunk, on any
+//    thread) therefore reaches idle workers, yet cannot deadlock a fully
+//    busy pool: its caller does every unclaimed chunk itself, and a queued
+//    helper is never waited for. A waiting caller never runs an unrelated
+//    task, and an external caller plus its helpers never exceeds size()
+//    busy threads.
 //  - The global pool size honours the DSML_THREADS environment variable,
 //    which CI uses to force real concurrency on single-core runners.
 #pragma once
@@ -36,6 +41,9 @@ class ThreadPool {
  public:
   /// Creates a pool with `threads` workers; 0 means the DSML_THREADS
   /// environment variable if set, else hardware_concurrency (minimum 1).
+  /// Throws InvalidArgument when DSML_THREADS is set but is not a decimal
+  /// integer >= 1. If a worker fails to start, the started ones are joined
+  /// before the error propagates.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -53,8 +61,8 @@ class ThreadPool {
     std::future<void> fut = task->get_future();
     // Observability: tasks are counted and their enqueue→dequeue latency
     // feeds the pool.queue_wait_us histogram (see common/metrics.hpp). Both
-    // hooks are relaxed atomics; submissions are coarse (one task per worker
-    // per parallel_for), so the extra clock read is noise.
+    // hooks are relaxed atomics; submissions are coarse (at most size()-1
+    // helpers per parallel_for), so the extra clock read is noise.
     note_task_submitted();
     const auto enqueued = std::chrono::steady_clock::now();
     {
@@ -71,17 +79,13 @@ class ThreadPool {
     return fut;
   }
 
-  /// True when the calling thread is a worker of any ThreadPool. Used by
-  /// parallel_for to degrade to an inline loop instead of deadlocking on a
-  /// pool whose workers are all blocked waiting for the nested loop.
-  static bool in_worker_thread() noexcept;
-
   /// Shared process-wide pool (lazily created; sized per the constructor's
   /// `threads == 0` rule).
   static ThreadPool& global();
 
  private:
   void worker_loop();
+  void stop_and_join() noexcept;
 
   /// Metrics hooks (defined in the .cpp so the header stays light).
   static void note_task_submitted() noexcept;
@@ -96,10 +100,11 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [begin, end) across `pool`, blocking until all
-/// iterations complete. Iterations are chunked to amortise dispatch.
-/// Exceptions thrown by fn propagate to the caller (first one wins).
-/// Runs inline when the pool has a single worker, the range is trivial, or
-/// the caller is itself a pool worker (nested parallelism).
+/// iterations complete. Iterations are chunked to amortise dispatch; the
+/// calling thread runs chunks too. Exceptions thrown by fn propagate to the
+/// caller (first one wins; chunks not yet started are skipped). Runs inline
+/// when the pool has a single worker or the range is a single chunk. Safe to
+/// call from inside fn of another parallel_for (see the contract above).
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 0);
@@ -112,8 +117,7 @@ void parallel_for(std::size_t begin, std::size_t end,
 /// Runs fn(chunk_begin, chunk_end) over [begin, end) split into chunks of at
 /// most `chunk` elements. The batched prediction paths use this so each call
 /// amortises per-chunk setup (workspace acquisition, layer scratch) over many
-/// rows instead of paying it per element. Same inline/nested semantics as
-/// parallel_for.
+/// rows instead of paying it per element. Same semantics as parallel_for.
 void parallel_for_chunks(
     ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t chunk,
     const std::function<void(std::size_t, std::size_t)>& fn);

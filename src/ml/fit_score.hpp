@@ -36,7 +36,8 @@ struct FitScoreRequest {
   /// Training sample; required.
   const data::Dataset* train = nullptr;
 
-  /// Run ml::estimate_error (repeated 50/50 cross-validation) first.
+  /// Run ml::estimate_error (repeated 50/50 cross-validation) beside the
+  /// fit.
   bool estimate = false;
   ml::ValidationOptions validation;
 
@@ -53,10 +54,11 @@ struct FitScoreRequest {
   const char* failpoint = nullptr;
 };
 
-/// What one cell produced. `failure` captures the first exception thrown by
-/// any stage; when set, the other outputs are whatever completed before it
-/// (the fitted model and predictions are always cleared so a failed cell
-/// cannot leak a half-trained artifact).
+/// What one cell produced. `failure` captures the exception of the first
+/// stage, in stage order (estimate, fit, score), that threw. The estimate
+/// runs beside the fit, so when it is set the other outputs are whatever
+/// the stages completed (the fitted model and predictions are always cleared
+/// so a failed cell cannot leak a half-trained artifact).
 struct FitScoreResult {
   std::string name;                      ///< request.model.name
   std::unique_ptr<ml::Regressor> model;  ///< fitted instance (fit stage ok)

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <string>
 
 #include "common/failpoint.hpp"
 #include "common/retry.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "data/split.hpp"
 #include "ml/metrics.hpp"
@@ -224,12 +226,32 @@ NeuralRegressor::Candidate NeuralRegressor::run_multiple(
   const std::size_t epochs = wide_menu ? scaled(500) : scaled(350);
   const std::size_t patience = wide_menu ? 100 : 60;
 
+  // Each topology trains on its own child stream, drawn here in menu order
+  // (the draws the serial loop made), so the topologies train in parallel.
+  // The reduction stays serial and in menu order, and a failure is rethrown
+  // from the lowest menu index, so the winner and any error match the
+  // serial loop's.
+  std::vector<Rng> children;
+  children.reserve(menu.size());
+  for (const auto& hidden : menu) {
+    children.push_back(rng.split(hidden.size() * 131 + hidden[0]));
+  }
+  std::vector<std::optional<Candidate>> trained(menu.size());
+  std::vector<std::exception_ptr> errors(menu.size());
+  parallel_for(0, menu.size(), [&](std::size_t i) {
+    try {
+      trained[i] = train_candidate(menu[i], xl, yl, xv, yv, epochs, 0.4, 0.02,
+                                   patience, children[i]);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
   std::optional<Candidate> best;
-  for (auto& hidden : menu) {
-    Rng child = rng.split(hidden.size() * 131 + hidden[0]);
-    Candidate c = train_candidate(hidden, xl, yl, xv, yv, epochs, 0.4, 0.02,
-                                  patience, child);
-    if (!best || c.val_mse < best->val_mse) best = std::move(c);
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    if (!best || trained[i]->val_mse < best->val_mse) {
+      best = std::move(trained[i]);
+    }
   }
   return *best;
 }
