@@ -1,13 +1,18 @@
 // Micro-benchmarks of the simulator substrate (google-benchmark): the
 // one-config simulate() path and its two passes apart (the functional pass
 // through caches, TLBs and predictor; the timing pass over its outcomes),
-// cache and predictor lookup costs, and trace generation speed.
+// the four-lane timing pass a sweep's groups take, cache and predictor
+// lookup costs, and trace generation speed. The timing benchmarks count
+// configurations x instructions, so their items/s compare per
+// configuration.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "sim/core.hpp"
+#include "sim/timing_kernel.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 #include "workload/simpoint.hpp"
@@ -67,6 +72,44 @@ void BM_TimingPass(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 
+// The distinct timings of the functional group of configuration `index`,
+// as a sweep times them: its width x core-size variants, four in all.
+std::vector<sim::ProcessorConfig> timing_group(std::size_t index) {
+  const auto space = sim::enumerate_design_space();
+  const sim::ProcessorConfig& head = space[index];
+  std::vector<sim::ProcessorConfig> group;
+  for (const sim::ProcessorConfig& c : space) {
+    if (c.functional_key() == head.functional_key() &&
+        c.issue_wrong == head.issue_wrong) {
+      group.push_back(c);
+    }
+  }
+  return group;
+}
+
+void BM_TimingLanes(benchmark::State& state) {
+  if (!sim::detail::lanes_supported()) {
+    state.SkipWithError("no four-lane timing kernel on this host");
+    return;
+  }
+  const sim::Trace& trace = bench_trace();
+  const auto group = timing_group(static_cast<std::size_t>(state.range(0)));
+  std::vector<sim::Outcome> outcomes(trace.size());
+  sim::FunctionalPass pass(group);
+  const sim::FunctionalStats stats = pass.run(trace.span(), outcomes);
+  auto lanes = std::make_unique<sim::detail::LaneState<sim::detail::kLanes>>();
+  std::vector<sim::SimResult> results(group.size());
+  for (auto _ : state) {
+    sim::detail::run_timing_lanes(group, {}, trace.span(), outcomes, stats,
+                                  *lanes, results);
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(group.size()) *
+                          static_cast<std::int64_t>(trace.size()));
+}
+
 void BM_CacheAccess(benchmark::State& state) {
   sim::Cache cache(64 * 1024, 64, 4);
   std::uint64_t addr = 0;
@@ -114,6 +157,8 @@ BENCHMARK(BM_SimulateTrace)->Arg(0)->Arg(1151)->Arg(4607)
 BENCHMARK(BM_FunctionalPass)->Arg(0)->Arg(1151)->Arg(4607)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TimingPass)->Arg(0)->Arg(1151)->Arg(4607)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TimingLanes)->Arg(0)->Arg(1151)->Arg(4607)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CacheAccess);
 BENCHMARK(BM_BranchPredictor)->DenseRange(0, 3);

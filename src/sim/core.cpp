@@ -1,36 +1,19 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <atomic>
 #include <map>
+#include <memory>
 
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/timing_kernel.hpp"
 
 namespace dsml::sim {
 
 namespace {
 
-/// Outcome bits. A level field names where an access was served: 0 = L1,
-/// 1 = L2, 2 = L3, 3 = memory. TLB miss bits are per reach slot
-/// (FunctionalStats).
-namespace outcome {
-/// Bits 0–4, the fetch field: this instruction started a new I$ line.
-constexpr Outcome kFetch = 1u << 0;
-constexpr unsigned kFetchLevelShift = 1;  ///< 2 bits
-constexpr unsigned kItlbMissShift = 3;    ///< one bit per slot
-/// Bits 5–9, the load field: a load, its D$ level and DTLB miss bits.
-/// Stores update the same structures but leave the field 0, because their
-/// latency never reaches the timing.
-constexpr unsigned kLoadShift = 5;
-constexpr Outcome kLoad = 1u << kLoadShift;
-constexpr unsigned kLoadLevelShift = 6;  ///< 2 bits
-constexpr unsigned kDtlbMissShift = 8;   ///< one bit per slot
-constexpr Outcome kMispredict = 1u << 10;
-/// A correctly predicted taken branch, which still ends the fetch group.
-constexpr Outcome kTakenBranch = 1u << 11;
-constexpr unsigned kFieldBits = 5;  ///< fetch and load fields
-}  // namespace outcome
+namespace outcome = detail::outcome;
 
 // ---------------------------------------------------------------------------
 // Functional pass
@@ -200,106 +183,9 @@ FunctionalStats FunctionalPass::run(std::span<const Instr> trace,
 
 namespace {
 
-/// Completion & commit time rings. The window is bounded by the RUU, so a
-/// ring a bit larger than the largest RUU (Table 1: 256) suffices; older
-/// producers have long completed. Slots not yet written read 0, which is
-/// what an absent producer or a not-yet-full window contributes.
-constexpr std::size_t kRing = 512;
-static_assert((kRing & (kRing - 1)) == 0 && kRing > 256);
-constexpr std::size_t kRingMask = kRing - 1;
-using Ring = std::array<std::uint64_t, kRing>;
-
-/// Tracks "how many events happened in cycle c" for a bandwidth limit of W
-/// per cycle without a full calendar: a ring keyed by cycle number with lazy
-/// reset. Each slot packs its cycle and count into one word, and a probe
-/// takes one branch, taken unless the cycle is full.
-template <std::uint32_t W>
-class BandwidthLimiter {
- public:
-  /// Earliest cycle >= `earliest` with a free slot; claims the slot.
-  std::uint64_t claim(std::uint64_t earliest) {
-    for (std::uint64_t c = earliest;; ++c) {
-      std::uint64_t& slot = slots_[c & (kSlots - 1)];
-      const bool stale = (slot >> kCountBits) != c;
-      if (stale | ((slot & kCountMask) < W)) {
-        slot = stale ? (c << kCountBits) | 1 : slot + 1;
-        return c;
-      }
-    }
-  }
-
- private:
-  static constexpr unsigned kCountBits = 8;
-  static constexpr std::uint64_t kCountMask = (1u << kCountBits) - 1;
-  static_assert(W <= kCountMask);
-  static constexpr std::size_t kSlots = 1024;
-  // An all-ones slot names a cycle no claim reaches.
-  std::array<std::uint64_t, kSlots> slots_ = filled(~0ULL);
-
-  static constexpr std::array<std::uint64_t, kSlots> filled(std::uint64_t v) {
-    std::array<std::uint64_t, kSlots> a{};
-    a.fill(v);
-    return a;
-  }
-};
-
-/// The five functional-unit pools (SimpleScalar's res: classes). Each unit
-/// is pipelined (initiation interval 1), so contention comes from the unit
-/// count and issue bursts. Units are interchangeable, so a pool is the
-/// ascending list of its units' free times, padded to U entries with
-/// never-free units: the earliest-free unit is the front, and booking it
-/// re-sorts the list with one select per entry and no branches.
-template <std::size_t U>
-class UnitPools {
- public:
-  explicit UnitPools(const FunctionalUnitMix& fu) {
-    const std::array<int, kPools> counts{fu.ialu, fu.imult, fu.memport,
-                                         fu.fpalu, fu.fpmult};
-    for (std::size_t p = 0; p < kPools; ++p) {
-      for (std::size_t u = 0; u < U; ++u) {
-        free_at_[p][u] = u < static_cast<std::size_t>(counts[p])
-                             ? 0
-                             : std::numeric_limits<std::uint64_t>::max();
-      }
-    }
-  }
-
-  /// Earliest cycle >= `earliest` a unit of `pool` can accept this op;
-  /// books the unit.
-  std::uint64_t acquire(std::size_t pool, std::uint64_t earliest) {
-    std::array<std::uint64_t, U>& units = free_at_[pool];
-    const std::uint64_t start = std::max(earliest, units[0]);
-    const std::uint64_t busy_until = start + 1;  // busy for one issue slot
-    // Drop the front and insert busy_until, keeping the list ascending.
-    for (std::size_t u = 0; u + 1 < U; ++u) {
-      units[u] = std::min(units[u + 1], std::max(units[u], busy_until));
-    }
-    units[U - 1] = std::max(units[U - 1], busy_until);
-    return start;
-  }
-
- private:
-  static constexpr std::size_t kPools = 5;
-  std::array<std::array<std::uint64_t, U>, kPools> free_at_{};
-};
-
-/// Pool (ialu, imult, memport, fpalu, fpmult) of each OpClass, in
-/// declaration order: int ALU, int mult, FP ALU, FP mult, load, store,
-/// branch.
-constexpr std::array<std::size_t, 7> kPoolOf{0, 1, 3, 4, 2, 2, 0};
-
-/// Everything the kernel needs from the configuration and latency model,
-/// with the memory hierarchy folded into lookup tables indexed by an
-/// outcome's fetch and load fields.
-struct TimingTables {
-  std::array<std::uint64_t, 1u << outcome::kFieldBits> fetch_stall{};
-  std::array<std::uint64_t, 1u << outcome::kFieldBits> load_latency{};
-  std::array<std::uint64_t, 7> op_latency{};
-  std::uint64_t decode = 0;
-  std::uint64_t mispredict_penalty = 0;
-  std::size_t ruu = 0;
-  std::size_t lsq = 0;
-};
+using detail::kLanes;
+using detail::LaneState;
+using detail::LaneTables;
 
 std::size_t reach_slot(const std::array<int, 2>& reaches, int reach_kb) {
   for (std::size_t s = 0; s < reaches.size(); ++s) {
@@ -309,180 +195,88 @@ std::size_t reach_slot(const std::array<int, 2>& reaches, int reach_kb) {
       "run_timing_pass: the functional pass did not model this TLB reach");
 }
 
-TimingTables timing_tables(const ProcessorConfig& c, const LatencyModel& lat,
-                           std::size_t itlb_slot, std::size_t dtlb_slot) {
+/// Where a configuration's TLB reaches sit in its functional pass.
+struct ReachSlots {
+  std::size_t itlb = 0;
+  std::size_t dtlb = 0;
+};
+
+ReachSlots reach_slots(const ProcessorConfig& c,
+                       const FunctionalStats& functional) {
+  return {reach_slot(functional.itlb_reach_kb, c.itlb_size_kb),
+          reach_slot(functional.dtlb_reach_kb, c.dtlb_size_kb)};
+}
+
+/// Writes configuration `c` into lane `lane` of `t`, and the latency
+/// model into the entries every lane shares.
+template <std::size_t N>
+void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
+               const LatencyModel& lat, ReachSlots slots) {
   const int l1 = c.l1d_size_kb >= 64 ? lat.l1d_hit_large : lat.l1d_hit;
   const int l2 = c.l2_size_kb >= 1024 ? lat.l2_hit_large : lat.l2_hit;
   const int l3 = c.has_l3() ? lat.l3_hit : 0;
   // Latency past the L1 by the level that served the access.
   const std::array<int, 4> beyond_l1{0, l2, l2 + l3, l2 + l3 + lat.memory};
 
-  TimingTables t;
-  for (unsigned f = 0; f < t.fetch_stall.size(); ++f) {
-    if ((f & outcome::kFetch) == 0) continue;
-    int stall = beyond_l1[(f >> outcome::kFetchLevelShift) & 3];
-    if ((f >> (outcome::kItlbMissShift + itlb_slot)) & 1) stall += lat.tlb_miss;
-    t.fetch_stall[f] = static_cast<std::uint64_t>(stall);
+  for (unsigned f = 0; f < detail::kFieldValues; ++f) {
+    int stall = 0;
+    if (f & outcome::kFetch) {
+      stall = beyond_l1[(f >> outcome::kFetchLevelShift) & 3];
+      if ((f >> (outcome::kItlbMissShift + slots.itlb)) & 1) {
+        stall += lat.tlb_miss;
+      }
+    }
+    t.fetch_stall[f][lane] = static_cast<std::uint64_t>(stall);
   }
   // The load field, shifted down to bit 0.
   constexpr unsigned kLevel = outcome::kLoadLevelShift - outcome::kLoadShift;
   constexpr unsigned kDtlb = outcome::kDtlbMissShift - outcome::kLoadShift;
-  for (unsigned f = 0; f < t.load_latency.size(); ++f) {
-    if ((f & 1) == 0) continue;
-    int latency = l1 + beyond_l1[(f >> kLevel) & 3];
-    if ((f >> (kDtlb + dtlb_slot)) & 1) latency += lat.tlb_miss;
-    t.load_latency[f] = static_cast<std::uint64_t>(latency);
+  for (unsigned f = 0; f < detail::kFieldValues; ++f) {
+    int latency = 0;
+    if (f & 1) {
+      latency = l1 + beyond_l1[(f >> kLevel) & 3];
+      if ((f >> (kDtlb + slots.dtlb)) & 1) latency += lat.tlb_miss;
+    }
+    t.load_latency[f][lane] = static_cast<std::uint64_t>(latency);
   }
-  t.op_latency = {static_cast<std::uint64_t>(lat.int_alu),
-                  static_cast<std::uint64_t>(lat.int_mult),
-                  static_cast<std::uint64_t>(lat.fp_alu),
-                  static_cast<std::uint64_t>(lat.fp_mult),
-                  static_cast<std::uint64_t>(lat.agen),
-                  // Stores retire once the address is generated.
-                  static_cast<std::uint64_t>(lat.agen),
-                  static_cast<std::uint64_t>(lat.int_alu)};
-  t.decode = static_cast<std::uint64_t>(lat.decode_pipeline);
+  const std::array<int, detail::kPools> counts{
+      c.fu.ialu, c.fu.imult, c.fu.memport, c.fu.fpalu, c.fu.fpmult};
+  for (std::size_t p = 0; p < detail::kPools; ++p) {
+    for (std::size_t u = 0; u < detail::kMaxUnits; ++u) {
+      t.units[p][u][lane] = u < static_cast<std::size_t>(counts[p])
+                                ? 0
+                                : detail::kNeverFree;
+    }
+  }
   // Wrong-path issue keeps the front end running: the machine resumes one
   // cycle earlier.
   const int redirect = lat.mispredict_redirect;
-  t.mispredict_penalty = static_cast<std::uint64_t>(
+  t.mispredict_penalty[lane] = static_cast<std::uint64_t>(
       c.issue_wrong ? std::max(redirect - 1, 0) : redirect);
-  t.ruu = static_cast<std::size_t>(c.ruu_size);
-  t.lsq = static_cast<std::size_t>(c.lsq_size);
-  return t;
-}
+  t.width[lane] = static_cast<std::uint64_t>(c.width);
+  t.ruu[lane] = static_cast<std::uint64_t>(c.ruu_size);
+  t.lsq[lane] = static_cast<std::uint64_t>(c.lsq_size);
 
-/// Completion time of the producer `dep` instructions before i, or 0 when
-/// there is none or it left the ring long ago.
-inline std::uint64_t producer_done(const Ring& complete, std::size_t i,
-                                   std::uint32_t dep) {
-  const bool tracked = (dep != 0) & (dep <= i) & (dep < kRing);
-  const std::uint64_t done = complete[(i - dep) & kRingMask];
-  return tracked ? done : 0;
-}
-
-/// The timing kernel for width W and U-unit pools; returns total cycles.
-/// Data-dependent choices are selects rather than branches where the
-/// outcome mix makes a branch unpredictable.
-template <std::uint32_t W, std::size_t U>
-std::uint64_t time_trace(const TimingTables& t, const FunctionalUnitMix& fu,
-                         std::span<const Instr> trace,
-                         std::span<const Outcome> outcomes) {
-  Ring complete_ring{};
-  Ring commit_ring{};
-  Ring mem_commit_ring{};  // commit cycles of memory ops (LSQ occupancy)
-  BandwidthLimiter<W> dispatch_bw;
-  BandwidthLimiter<W> issue_bw;
-  UnitPools<U> units(fu);
-
-  constexpr unsigned kFieldMask = (1u << outcome::kFieldBits) - 1;
-  std::uint64_t fetch_ready = 1;  // cycle the next fetch group can start
-  std::uint32_t fetched_in_group = 0;
-  // Commit is in order, so its limiter is the last cycle and its count.
-  std::uint64_t prev_commit = 0;
-  std::uint32_t commits_in_cycle = 0;
-  std::size_t mem_ops = 0;
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const Instr& ins = trace[i];
-    const Outcome o = outcomes[i];
-    const auto op = static_cast<std::size_t>(ins.op);
-
-    // ---------------- fetch ----------------
-    fetch_ready += t.fetch_stall[o & kFieldMask];
-    fetched_in_group = (o & outcome::kFetch) ? 1 : fetched_in_group + 1;
-    const bool group_full = fetched_in_group > W;  // next group next cycle
-    fetch_ready += group_full;
-    fetched_in_group = group_full ? 1 : fetched_in_group;
-    const std::uint64_t fetch_time = fetch_ready;
-
-    // ---------------- dispatch ----------------
-    const bool is_mem =
-        (ins.op == OpClass::kLoad) | (ins.op == OpClass::kStore);
-    const std::uint64_t lsq_free =
-        mem_commit_ring[(mem_ops - t.lsq) & kRingMask];
-    const std::uint64_t window_free =
-        std::max(commit_ring[(i - t.ruu) & kRingMask], is_mem ? lsq_free : 0);
-    const std::uint64_t dispatch_time =
-        dispatch_bw.claim(std::max(fetch_time + t.decode, window_free));
-
-    // ---------------- operand readiness ----------------
-    std::uint64_t ready = dispatch_time + 1;
-    ready = std::max(ready, producer_done(complete_ring, i, ins.dep1));
-    ready = std::max(ready, producer_done(complete_ring, i, ins.dep2));
-
-    // ---------------- issue & execute ----------------
-    const std::uint64_t issue_time =
-        issue_bw.claim(units.acquire(kPoolOf[op], ready));
-    const std::uint64_t complete_time =
-        issue_time + t.op_latency[op] +
-        t.load_latency[(o >> outcome::kLoadShift) & kFieldMask];
-
-    // ---------------- branch resolution ----------------
-    // A mispredict refetches after it resolves; a correctly predicted taken
-    // branch still ends the fetch group. Either way the functional pass
-    // marked the next instruction as a new fetch line.
-    const std::uint64_t redirect = (o & outcome::kMispredict)
-                                       ? complete_time + t.mispredict_penalty
-                                       : fetch_time + 1;
-    const bool redirects =
-        (o & (outcome::kMispredict | outcome::kTakenBranch)) != 0;
-    fetch_ready = std::max(fetch_ready, redirects ? redirect : 0);
-
-    // ---------------- commit ----------------
-    std::uint64_t commit_time = std::max(complete_time + 1, prev_commit);
-    const bool same_cycle = commit_time == prev_commit;
-    const bool cycle_full = same_cycle & (commits_in_cycle == W);
-    commit_time += cycle_full;
-    commits_in_cycle = same_cycle & !cycle_full ? commits_in_cycle + 1 : 1;
-    prev_commit = commit_time;
-    complete_ring[i & kRingMask] = complete_time;
-    commit_ring[i & kRingMask] = commit_time;
-    // A non-memory op writes the slot the next memory op overwrites.
-    mem_commit_ring[mem_ops & kRingMask] = commit_time;
-    mem_ops += is_mem;
+  const std::array<int, detail::kOpClasses> op_latency{
+      lat.int_alu, lat.int_mult, lat.fp_alu, lat.fp_mult, lat.agen,
+      // Stores retire once the address is generated.
+      lat.agen, lat.int_alu};
+  for (std::size_t op = 0; op < op_latency.size(); ++op) {
+    t.op_latency[op] = static_cast<std::uint64_t>(op_latency[op]);
   }
-  return prev_commit;
+  t.decode = static_cast<std::uint64_t>(lat.decode_pipeline);
 }
 
-}  // namespace
-
-SimResult run_timing_pass(const ProcessorConfig& config,
-                          const LatencyModel& latency,
-                          std::span<const Instr> trace,
-                          std::span<const Outcome> outcomes,
-                          const FunctionalStats& functional) {
-  DSML_REQUIRE(!trace.empty(), "run_timing_pass: empty trace");
-  DSML_REQUIRE(outcomes.size() == trace.size(),
-               "run_timing_pass: outcome buffer and trace differ in size");
-  config.validate();
-  static metrics::Counter& passes = metrics::counter("sim.timing_passes");
-  passes.add();
-
-  const std::size_t itlb_slot =
-      reach_slot(functional.itlb_reach_kb, config.itlb_size_kb);
-  const std::size_t dtlb_slot =
-      reach_slot(functional.dtlb_reach_kb, config.dtlb_size_kb);
-  const TimingTables t = timing_tables(config, latency, itlb_slot, dtlb_slot);
-  const FunctionalUnitMix& fu = config.fu;
-  const bool wide_pools =
-      std::max({fu.ialu, fu.imult, fu.memport, fu.fpalu, fu.fpmult}) > 4;
-  std::uint64_t cycles = 0;
-  if (config.width == 4) {
-    cycles = wide_pools ? time_trace<4, 8>(t, fu, trace, outcomes)
-                        : time_trace<4, 4>(t, fu, trace, outcomes);
-  } else {
-    cycles = wide_pools ? time_trace<8, 8>(t, fu, trace, outcomes)
-                        : time_trace<8, 4>(t, fu, trace, outcomes);
-  }
-
-  const std::size_t n = trace.size();
+/// A configuration's result from its cycle count and its functional pass.
+SimResult timing_result(std::uint64_t cycles, std::size_t instructions,
+                        const FunctionalStats& functional, ReachSlots slots) {
   SimResult result;
   result.cycles = cycles;
   SimStats& stats = result.stats;
-  stats.instructions = n;
+  stats.instructions = instructions;
   stats.cycles = cycles;
-  stats.ipc = cycles > 0 ? static_cast<double>(n) / static_cast<double>(cycles)
+  stats.ipc = cycles > 0 ? static_cast<double>(instructions) /
+                               static_cast<double>(cycles)
                          : 0.0;
   stats.l1d_miss_rate = functional.l1d_miss_rate;
   stats.l1i_miss_rate = functional.l1i_miss_rate;
@@ -494,9 +288,112 @@ SimResult run_timing_pass(const ProcessorConfig& config,
       stats.branch_count > 0 ? static_cast<double>(stats.mispredicts) /
                                    static_cast<double>(stats.branch_count)
                              : 0.0;
-  stats.itlb_miss_rate = functional.itlb_miss_rate[itlb_slot];
-  stats.dtlb_miss_rate = functional.dtlb_miss_rate[dtlb_slot];
+  stats.itlb_miss_rate = functional.itlb_miss_rate[slots.itlb];
+  stats.dtlb_miss_rate = functional.dtlb_miss_rate[slots.dtlb];
   return result;
+}
+
+void require_outcomes(std::span<const Instr> trace,
+                      std::span<const Outcome> outcomes) {
+  DSML_REQUIRE(!trace.empty(), "run_timing_pass: empty trace");
+  DSML_REQUIRE(outcomes.size() == trace.size(),
+               "run_timing_pass: outcome buffer and trace differ in size");
+}
+
+/// The one-lane kernel for width W and U-unit pools.
+template <std::uint32_t W, std::size_t U>
+std::uint64_t time_one_lane(const LaneTables<1>& t,
+                            std::span<const Instr> trace,
+                            std::span<const Outcome> outcomes) {
+  LaneState<1> state{};
+  std::uint64_t cycles = 0;
+  detail::time_lanes<detail::OneLane<W, U>>(t, state, trace.data(),
+                                            outcomes.data(), trace.size(),
+                                            &cycles);
+  return cycles;
+}
+
+}  // namespace
+
+SimResult run_timing_pass(const ProcessorConfig& config,
+                          const LatencyModel& latency,
+                          std::span<const Instr> trace,
+                          std::span<const Outcome> outcomes,
+                          const FunctionalStats& functional) {
+  require_outcomes(trace, outcomes);
+  config.validate();
+  static metrics::Counter& passes = metrics::counter("sim.timing_passes");
+  passes.add();
+
+  const ReachSlots slots = reach_slots(config, functional);
+  LaneTables<1> t{};
+  fill_lane(t, 0, config, latency, slots);
+  const FunctionalUnitMix& fu = config.fu;
+  const bool wide_pools =
+      std::max({fu.ialu, fu.imult, fu.memport, fu.fpalu, fu.fpmult}) > 4;
+  std::uint64_t cycles = 0;
+  if (config.width == 4) {
+    cycles = wide_pools ? time_one_lane<4, 8>(t, trace, outcomes)
+                        : time_one_lane<4, 4>(t, trace, outcomes);
+  } else {
+    cycles = wide_pools ? time_one_lane<8, 8>(t, trace, outcomes)
+                        : time_one_lane<8, 4>(t, trace, outcomes);
+  }
+  return timing_result(cycles, trace.size(), functional, slots);
+}
+
+bool detail::lanes_supported() noexcept {
+#if defined(DSML_SIM_HAVE_AVX2) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(__i386__))
+  // cpuid never changes while the process runs, so detect once.
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported;
+#else
+  return false;
+#endif
+}
+
+void detail::run_timing_lanes(std::span<const ProcessorConfig> lanes,
+                              const LatencyModel& latency,
+                              std::span<const Instr> trace,
+                              std::span<const Outcome> outcomes,
+                              const FunctionalStats& functional,
+                              LaneState<kLanes>& state,
+                              std::span<SimResult> results) {
+  require_outcomes(trace, outcomes);
+  DSML_REQUIRE(!lanes.empty() && lanes.size() <= kLanes,
+               "run_timing_lanes: expected 1 to 4 configurations");
+  DSML_REQUIRE(results.size() == lanes.size(),
+               "run_timing_lanes: results and configurations differ in size");
+  if (!lanes_supported()) {
+    throw StateError("run_timing_lanes: no four-lane kernel on this host");
+  }
+  static metrics::Counter& passes = metrics::counter("sim.timing_passes");
+  static metrics::Counter& lane_passes = metrics::counter("sim.lane_passes");
+
+  std::array<ReachSlots, kLanes> slots{};
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    lanes[l].validate();
+    slots[l] = reach_slots(lanes[l], functional);
+  }
+  // Lanes past the last configuration repeat it; their cycles are dropped.
+  LaneTables<kLanes> t{};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const std::size_t c = std::min(l, lanes.size() - 1);
+    fill_lane(t, l, lanes[c], latency, slots[c]);
+  }
+  std::uint64_t cycles[kLanes] = {};
+#if defined(DSML_SIM_HAVE_AVX2)
+  time_four_lanes(t, state, trace.data(), outcomes.data(), trace.size(),
+                  cycles);
+#else
+  (void)state;  // unreachable: lanes_supported() is false
+#endif
+  lane_passes.add();
+  passes.add(lanes.size());
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    results[l] = timing_result(cycles[l], trace.size(), functional, slots[l]);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -531,6 +428,71 @@ bool same_timing(ProcessorConfig a, const ProcessorConfig& b) {
   return a == b;
 }
 
+/// Fewest distinct timings a four-lane pass takes. A four-lane pass costs
+/// two to two and a half one-lane passes however many lanes are in use,
+/// so three or four timings gain and one or two do not.
+constexpr std::size_t kMinLanes = 3;
+
+/// One worker's share of simulate_batch: it times whole functional groups
+/// and owns an outcome buffer and, once a group needs it, the lane state.
+class GroupTimer {
+ public:
+  GroupTimer(std::span<const ProcessorConfig> configs, const Trace& trace,
+             std::span<SimResult> results)
+      : configs_(configs), trace_(trace), results_(results) {}
+
+  void time(const std::vector<std::size_t>& group) {
+    members_.clear();
+    for (const std::size_t idx : group) members_.push_back(configs_[idx]);
+    FunctionalPass functional(members_);
+    outcomes_.resize(trace_.size());
+    const FunctionalStats stats = functional.run(trace_.span(), outcomes_);
+
+    // The group's distinct timings in member order; a twin takes the result
+    // of the first member it cannot be told apart from.
+    distinct_.clear();
+    timing_of_.clear();
+    for (const ProcessorConfig& c : members_) {
+      std::size_t d = 0;
+      while (d < distinct_.size() && !same_timing(distinct_[d], c)) ++d;
+      if (d == distinct_.size()) distinct_.push_back(c);
+      timing_of_.push_back(d);
+    }
+
+    timed_.resize(distinct_.size());
+    std::size_t next = 0;
+    if (distinct_.size() >= kMinLanes && detail::lanes_supported()) {
+      if (!lanes_) lanes_ = std::make_unique<LaneState<kLanes>>();
+      while (distinct_.size() - next >= kMinLanes) {
+        const std::size_t count = std::min(kLanes, distinct_.size() - next);
+        detail::run_timing_lanes(
+            std::span(distinct_).subspan(next, count), LatencyModel{},
+            trace_.span(), outcomes_, stats, *lanes_,
+            std::span(timed_).subspan(next, count));
+        next += count;
+      }
+    }
+    for (; next < distinct_.size(); ++next) {
+      timed_[next] = run_timing_pass(distinct_[next], LatencyModel{},
+                                     trace_.span(), outcomes_, stats);
+    }
+    for (std::size_t m = 0; m < group.size(); ++m) {
+      results_[group[m]] = timed_[timing_of_[m]];
+    }
+  }
+
+ private:
+  std::span<const ProcessorConfig> configs_;
+  const Trace& trace_;
+  std::span<SimResult> results_;
+  std::vector<Outcome> outcomes_;
+  std::unique_ptr<LaneState<kLanes>> lanes_;
+  std::vector<ProcessorConfig> members_;
+  std::vector<ProcessorConfig> distinct_;
+  std::vector<std::size_t> timing_of_;  ///< per member, its distinct_ index
+  std::vector<SimResult> timed_;        ///< per distinct timing
+};
+
 }  // namespace
 
 std::vector<SimResult> simulate_batch(ThreadPool& pool,
@@ -545,31 +507,20 @@ std::vector<SimResult> simulate_batch(ThreadPool& pool,
   groups.reserve(by_key.size());
   for (auto& entry : by_key) groups.push_back(std::move(entry.second));
 
+  // Each worker claims one group at a time, so a worker's buffers serve
+  // every group it times.
   std::vector<SimResult> results(configs.size());
-  const std::size_t chunk =
-      std::max<std::size_t>(1, groups.size() / (pool.size() * 16));
-  parallel_for_chunks(
-      pool, 0, groups.size(), chunk, [&](std::size_t begin, std::size_t end) {
-        std::vector<Outcome> outcomes(trace.size());
-        std::vector<ProcessorConfig> members;
-        for (std::size_t g = begin; g < end; ++g) {
-          const std::vector<std::size_t>& group = groups[g];
-          members.clear();
-          for (const std::size_t idx : group) members.push_back(configs[idx]);
-          FunctionalPass functional(members);
-          const FunctionalStats stats = functional.run(trace.span(), outcomes);
-          for (std::size_t m = 0; m < members.size(); ++m) {
-            std::size_t twin = 0;
-            while (twin < m && !same_timing(members[twin], members[m])) {
-              ++twin;
-            }
-            results[group[m]] =
-                twin < m ? results[group[twin]]
-                         : run_timing_pass(members[m], LatencyModel{},
-                                           trace.span(), outcomes, stats);
-          }
+  std::atomic<std::size_t> next_group{0};
+  parallel_for(
+      pool, 0, std::min(pool.size(), groups.size()),
+      [&](std::size_t) {
+        GroupTimer timer(configs, trace, results);
+        for (std::size_t g = next_group.fetch_add(1); g < groups.size();
+             g = next_group.fetch_add(1)) {
+          timer.time(groups[g]);
         }
-      });
+      },
+      /*grain=*/1);
   return results;
 }
 

@@ -29,6 +29,14 @@
 // pass* turns those outcomes into latencies through the LatencyModel and
 // runs the width/RUU/LSQ/FU model. Configurations with one FunctionalKey
 // share a functional pass; simulate_batch groups them that way.
+//
+// The timing kernel is one template over lanes (sim/timing_kernel.hpp). Its
+// one-lane instantiation times a single configuration: run_timing_pass,
+// simulate(), and every host without AVX2. Its four-lane instantiation,
+// compiled with -mavx2 and chosen by cpuid, times up to four configurations
+// of one group in one walk of the outcomes, one per 64-bit vector lane;
+// simulate_batch uses it for groups with three or more distinct timings.
+// Both give bit-identical results.
 #pragma once
 
 #include <array>
@@ -92,7 +100,7 @@ struct LatencyModel {
 /// started a new I$ line and which level served it, whether it is a load
 /// and which level served it, a TLB miss bit per reach slot, and whether it
 /// is a mispredicted or a correctly predicted taken branch. The layout is
-/// private to the two passes (core.cpp).
+/// private to the two passes (sim/timing_kernel.hpp).
 using Outcome = std::uint16_t;
 
 /// Whole-trace counters of one functional pass. TLB statistics are per
@@ -144,8 +152,9 @@ class FunctionalPass {
 };
 
 /// The timing pass: one configuration against the outcomes a functional
-/// pass of its group recorded for `trace`. Throws InvalidArgument when the
-/// pass did not model this configuration's TLB reaches.
+/// pass of its group recorded for `trace`, through the one-lane kernel.
+/// Throws InvalidArgument when the pass did not model this configuration's
+/// TLB reaches.
 SimResult run_timing_pass(const ProcessorConfig& config,
                           const LatencyModel& latency,
                           std::span<const Instr> trace,
@@ -174,11 +183,13 @@ SimResult simulate(const ProcessorConfig& config, const Trace& trace);
 
 /// Simulate every configuration against one trace, cold, index-aligned
 /// with `configs` and bit-identical to simulate() on each. Configurations
-/// are grouped by FunctionalKey: each group costs one functional pass and
-/// one timing pass per distinct timing (perfect-predictor issue_wrong twins
-/// share one). Groups run across `pool`, each task reusing one outcome
-/// buffer, so memory stays one buffer per worker. Counts
-/// sim.functional_passes and sim.timing_passes.
+/// are grouped by FunctionalKey: each group costs one functional pass, and
+/// its distinct timings (perfect-predictor issue_wrong twins share one) are
+/// timed four to a four-lane pass while at least three remain, then one at
+/// a time; without AVX2 every timing takes a one-lane pass. Each worker of
+/// `pool` claims one group at a time and keeps one outcome buffer, plus
+/// lane state once a group needs it. Counts sim.functional_passes,
+/// sim.timing_passes (configurations timed) and sim.lane_passes.
 std::vector<SimResult> simulate_batch(ThreadPool& pool,
                                       std::span<const ProcessorConfig> configs,
                                       const Trace& trace);

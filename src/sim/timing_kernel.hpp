@@ -1,0 +1,360 @@
+// The timing kernel, written once over lanes. Private to src/sim (core.cpp,
+// timing_avx2.cpp) and the tests that compare its instantiations.
+//
+// A lane is one configuration of a functional group. time_lanes<L> walks a
+// trace and the outcomes its functional pass recorded once, advancing every
+// lane's fetch, dispatch, issue and commit state; the lane policy L supplies
+// the per-lane values and arithmetic:
+//
+//   OneLane<W, U>  (below)            one std::uint64_t per value, width W
+//                                     and pool size U as constants. Single
+//                                     configurations, simulate(), and every
+//                                     host without AVX2 run this.
+//   FourLanes      (timing_avx2.cpp)  one 64-bit lane of a 256-bit vector
+//                                     per configuration, compiled with
+//                                     -mavx2 and chosen by cpuid.
+//
+// Per-lane arrays are interleaved by lane, [entry][lane], so an index every
+// lane shares (an outcome's fetch or load field, a dependency distance, the
+// current instruction's ring slot, an FU pool) is one vector load. Pools are
+// padded to kMaxUnits units with kNeverFree, which stays below 2^63 so that
+// signed 64-bit vector compares order it last. Two steps stay lane by lane:
+// the RUU and LSQ look-back (the lanes' window sizes differ, so their ring
+// slots do) and the dispatch and issue limiter claims (AVX2 has no scatter).
+//
+// Everything after the declarations has internal linkage, so the -mavx2 TU
+// and the baseline TU each compile their own copy of every function they
+// use, and the linker can never hand a baseline caller an AVX2 body. For the
+// same reason the kernel calls no standard-library template.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
+#include "sim/core.hpp"
+
+namespace dsml::sim::detail {
+
+/// Outcome bits. A level field names where an access was served: 0 = L1,
+/// 1 = L2, 2 = L3, 3 = memory. TLB miss bits are per reach slot
+/// (FunctionalStats).
+namespace outcome {
+/// Bits 0–4, the fetch field: this instruction started a new I$ line.
+constexpr Outcome kFetch = 1u << 0;
+constexpr unsigned kFetchLevelShift = 1;  ///< 2 bits
+constexpr unsigned kItlbMissShift = 3;    ///< one bit per slot
+/// Bits 5–9, the load field: a load, its D$ level and DTLB miss bits.
+/// Stores update the same structures but leave the field 0, because their
+/// latency never reaches the timing.
+constexpr unsigned kLoadShift = 5;
+constexpr Outcome kLoad = 1u << kLoadShift;
+constexpr unsigned kLoadLevelShift = 6;  ///< 2 bits
+constexpr unsigned kDtlbMissShift = 8;   ///< one bit per slot
+constexpr Outcome kMispredict = 1u << 10;
+/// A correctly predicted taken branch, which still ends the fetch group.
+constexpr Outcome kTakenBranch = 1u << 11;
+constexpr unsigned kFieldBits = 5;  ///< fetch and load fields
+constexpr unsigned kFieldMask = (1u << kFieldBits) - 1;
+}  // namespace outcome
+
+/// Lanes of the vector kernel.
+constexpr std::size_t kLanes = 4;
+
+/// Completion and commit time rings. The window is bounded by the RUU, so a
+/// ring a bit larger than the largest RUU (Table 1: 256) suffices; older
+/// producers have long completed. Slots not yet written read 0, which is
+/// what an absent producer or a not-yet-full window contributes.
+constexpr std::size_t kRing = 512;
+static_assert((kRing & (kRing - 1)) == 0 && kRing > 256);
+constexpr std::size_t kRingMask = kRing - 1;
+
+/// Limiter slots per lane; see claim_slot().
+constexpr std::size_t kLimiterSlots = 1024;
+
+/// The five functional-unit pools (SimpleScalar's res: classes), each
+/// padded to kMaxUnits units with never-free ones.
+constexpr std::size_t kPools = 5;
+constexpr std::size_t kMaxUnits = 8;
+constexpr std::uint64_t kNeverFree = std::uint64_t{1} << 62;
+
+constexpr std::size_t kOpClasses = 7;
+constexpr std::size_t kFieldValues = std::size_t{1} << outcome::kFieldBits;
+
+/// Everything the kernel needs from N configurations and the latency model,
+/// with the memory hierarchy folded into lookup tables indexed by an
+/// outcome's fetch and load fields. Per-lane entries are [entry][lane].
+template <std::size_t N>
+struct LaneTables {
+  /// A row of N lanes, aligned to its own size so a vector load never
+  /// splits a cache line. One lane needs no more than a word's alignment,
+  /// which keeps the one-lane kernel's frame free of stack realignment.
+  static constexpr std::size_t kRowAlign = N * sizeof(std::uint64_t);
+
+  alignas(kRowAlign) std::uint64_t fetch_stall[kFieldValues][N];
+  alignas(kRowAlign) std::uint64_t load_latency[kFieldValues][N];
+  /// Each pool's units at the start of a pass: 0 for a real unit,
+  /// kNeverFree for padding.
+  alignas(kRowAlign) std::uint64_t units[kPools][kMaxUnits][N];
+  alignas(kRowAlign) std::uint64_t mispredict_penalty[N];
+  alignas(kRowAlign) std::uint64_t width[N];
+  std::uint64_t ruu[N];
+  std::uint64_t lsq[N];
+  std::uint64_t op_latency[kOpClasses];  ///< shared by every lane
+  std::uint64_t decode;                  ///< shared by every lane
+};
+
+/// The kernel's working state for N lanes, reset at the start of each pass.
+template <std::size_t N>
+struct LaneState {
+  static constexpr std::size_t kRowAlign = LaneTables<N>::kRowAlign;
+
+  alignas(kRowAlign) std::uint64_t complete[kRing][N];
+  alignas(kRowAlign) std::uint64_t commit[kRing][N];
+  /// Commit cycles of memory ops (LSQ occupancy).
+  alignas(kRowAlign) std::uint64_t mem_commit[kRing][N];
+  alignas(kRowAlign) std::uint64_t units[kPools][kMaxUnits][N];
+  /// The dispatch and issue limiters' slots (see claim_slot),
+  /// [limiter][cycle][lane]: limiter-major, so in the one-lane kernel each
+  /// limiter sits at a fixed offset in the frame and needs no register.
+  std::uint64_t slots[2][kLimiterSlots][N];
+};
+
+/// Whether this build carries the four-lane kernel and the CPU runs it.
+bool lanes_supported() noexcept;
+
+/// Times `lanes`, one to kLanes configurations of one functional group, in
+/// one pass of the four-lane kernel; writes each lane's result to the same
+/// index of `results`. A configuration may repeat. Results are
+/// bit-identical to run_timing_pass on each lane. Counts one
+/// sim.lane_passes and lanes.size() sim.timing_passes. Throws
+/// InvalidArgument as run_timing_pass does, and StateError when
+/// lanes_supported() is false.
+void run_timing_lanes(std::span<const ProcessorConfig> lanes,
+                      const LatencyModel& latency,
+                      std::span<const Instr> trace,
+                      std::span<const Outcome> outcomes,
+                      const FunctionalStats& functional,
+                      LaneState<kLanes>& state, std::span<SimResult> results);
+
+/// The four-lane kernel (timing_avx2.cpp): writes each lane's total cycles
+/// to cycles[0..kLanes). Call only when lanes_supported().
+void time_four_lanes(const LaneTables<kLanes>& tables,
+                     LaneState<kLanes>& state, const Instr* trace,
+                     const Outcome* outcomes, std::size_t n,
+                     std::uint64_t* cycles);
+
+namespace {
+
+/// Pool (ialu, imult, memport, fpalu, fpmult) of each OpClass, in
+/// declaration order: int ALU, int mult, FP ALU, FP mult, load, store,
+/// branch.
+constexpr std::size_t kPoolOf[kOpClasses] = {0, 1, 3, 4, 2, 2, 0};
+
+/// The two bandwidth limiters.
+constexpr std::size_t kDispatch = 0;
+constexpr std::size_t kIssue = 1;
+
+/// A limiter slot packs a cycle number and the count claimed in it.
+constexpr unsigned kCountBits = 8;
+constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kCountBits) - 1;
+/// An all-ones slot names a cycle no claim reaches.
+constexpr std::uint64_t kNoCycle = ~std::uint64_t{0};
+
+/// A bandwidth limit of `width` events per cycle without a full calendar:
+/// the slots of `limiter` and `lane` are a ring keyed by cycle number with
+/// lazy reset, and a probe takes one branch, taken unless the cycle is
+/// full. Returns the earliest cycle >= `earliest` with a free slot and
+/// claims the slot.
+template <std::size_t N>
+std::uint64_t claim_slot(std::uint64_t (*slots)[kLimiterSlots][N],
+                         std::size_t limiter, std::size_t lane,
+                         std::uint64_t earliest, std::uint64_t width) {
+  for (std::uint64_t c = earliest;; ++c) {
+    std::uint64_t& slot = slots[limiter][c & (kLimiterSlots - 1)][lane];
+    const bool stale = (slot >> kCountBits) != c;
+    if (stale | ((slot & kCountMask) < width)) {
+      slot = stale ? (c << kCountBits) | 1 : slot + 1;
+      return c;
+    }
+  }
+}
+
+/// One configuration per pass: every value is a std::uint64_t, and the
+/// width W and pool size U are constants.
+template <std::uint32_t W, std::size_t U>
+struct OneLane {
+  static_assert(W <= kCountMask && U <= kMaxUnits);
+  static constexpr std::size_t kLanes = 1;
+  static constexpr std::size_t kUnits = U;
+  using V = std::uint64_t;
+  using M = bool;  ///< a per-lane condition
+
+  static V splat(std::uint64_t x) { return x; }
+  static V load(const std::uint64_t* p) { return *p; }
+  static void store(std::uint64_t* p, V v) { *p = v; }
+  static V max(V a, V b) { return a < b ? b : a; }
+  static V min(V a, V b) { return b < a ? b : a; }
+  static M eq(V a, V b) { return a == b; }
+  static M gt(V a, V b) { return a > b; }
+  static M both(M a, M b) { return a & b; }
+  static M and_not(M a, M b) { return a & !b; }
+  static V select(M m, V a, V b) { return m ? a : b; }
+  static V one_if(M m) { return m; }
+  static V width(const LaneTables<1>&) { return W; }
+
+  /// ring[pos - back] for this lane's look-back distance.
+  static V look_back(const std::uint64_t (*ring)[1], std::size_t pos,
+                     const std::uint64_t* back) {
+    return ring[(pos - back[0]) & kRingMask][0];
+  }
+
+  static V claim(std::uint64_t (*slots)[kLimiterSlots][1],
+                 std::size_t limiter, V earliest, const LaneTables<1>&) {
+    return claim_slot(slots, limiter, 0, earliest, W);
+  }
+};
+
+/// Earliest cycle >= `earliest` a unit of the pool `units` can accept this
+/// op; books the unit. Each unit is pipelined (initiation interval 1), so
+/// contention comes from the unit count and issue bursts. Units are
+/// interchangeable, so a pool is the ascending list of its units' free
+/// times: the earliest-free unit is the front, and booking it re-sorts the
+/// list with one min(max()) per entry and no branches.
+template <class L>
+typename L::V acquire(std::uint64_t (*units)[L::kLanes],
+                      typename L::V earliest) {
+  using V = typename L::V;
+  const V start = L::max(earliest, L::load(units[0]));
+  const V busy_until = start + L::splat(1);  // busy for one issue slot
+  // Drop the front and insert busy_until, keeping the list ascending.
+  for (std::size_t u = 0; u + 1 < L::kUnits; ++u) {
+    L::store(units[u], L::min(L::load(units[u + 1]),
+                              L::max(L::load(units[u]), busy_until)));
+  }
+  L::store(units[L::kUnits - 1],
+           L::max(L::load(units[L::kUnits - 1]), busy_until));
+  return start;
+}
+
+/// Completion time of the producer `dep` instructions before i, or 0 when
+/// there is none or it left the ring long ago.
+template <class L>
+typename L::V producer_done(const std::uint64_t (*complete)[L::kLanes],
+                            std::size_t i, std::uint32_t dep) {
+  const bool tracked = (dep != 0) & (dep <= i) & (dep < kRing);
+  const typename L::V done = L::load(complete[(i - dep) & kRingMask]);
+  return tracked ? done : L::splat(0);
+}
+
+template <std::size_t N>
+void reset(LaneState<N>& s, const LaneTables<N>& t) {
+  for (std::size_t r = 0; r < kRing; ++r) {
+    for (std::size_t l = 0; l < N; ++l) {
+      s.complete[r][l] = 0;
+      s.commit[r][l] = 0;
+      s.mem_commit[r][l] = 0;
+    }
+  }
+  for (std::size_t p = 0; p < kPools; ++p) {
+    for (std::size_t u = 0; u < kMaxUnits; ++u) {
+      for (std::size_t l = 0; l < N; ++l) s.units[p][u][l] = t.units[p][u][l];
+    }
+  }
+  for (std::size_t c = 0; c < kLimiterSlots; ++c) {
+    for (std::size_t l = 0; l < N; ++l) {
+      s.slots[kDispatch][c][l] = kNoCycle;
+      s.slots[kIssue][c][l] = kNoCycle;
+    }
+  }
+}
+
+/// The timing kernel: runs `n` instructions of `trace` against their
+/// `outcomes` for every lane of L and writes each lane's total cycles to
+/// `cycles`. Data-dependent choices are selects rather than branches where
+/// the outcome mix makes a branch unpredictable.
+template <class L>
+void time_lanes(const LaneTables<L::kLanes>& t, LaneState<L::kLanes>& s,
+                const Instr* trace, const Outcome* outcomes, std::size_t n,
+                std::uint64_t* cycles) {
+  using V = typename L::V;
+  using M = typename L::M;
+  reset(s, t);
+
+  const V zero = L::splat(0);
+  const V one = L::splat(1);
+  const V width = L::width(t);
+  V fetch_ready = one;  // cycle the next fetch group can start
+  V fetched_in_group = zero;
+  // Commit is in order, so its limiter is the last cycle and its count.
+  V prev_commit = zero;
+  V commits_in_cycle = zero;
+  std::size_t mem_ops = 0;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const Instr& ins = trace[i];
+    const Outcome o = outcomes[i];
+    const auto op = static_cast<std::size_t>(ins.op);
+
+    // ---------------- fetch ----------------
+    fetch_ready = fetch_ready + L::load(t.fetch_stall[o & outcome::kFieldMask]);
+    fetched_in_group =
+        (o & outcome::kFetch) ? one : fetched_in_group + one;
+    const M group_full = L::gt(fetched_in_group, width);  // next cycle
+    fetch_ready = fetch_ready + L::one_if(group_full);
+    fetched_in_group = L::select(group_full, one, fetched_in_group);
+    const V fetch_time = fetch_ready;
+
+    // ---------------- dispatch ----------------
+    const bool is_mem =
+        (ins.op == OpClass::kLoad) | (ins.op == OpClass::kStore);
+    const V lsq_free = L::look_back(s.mem_commit, mem_ops, t.lsq);
+    const V window_free = L::max(L::look_back(s.commit, i, t.ruu),
+                                 is_mem ? lsq_free : zero);
+    const V dispatch_time =
+        L::claim(s.slots, kDispatch,
+                 L::max(fetch_time + L::splat(t.decode), window_free), t);
+
+    // ---------------- operand readiness ----------------
+    V ready = dispatch_time + one;
+    ready = L::max(ready, producer_done<L>(s.complete, i, ins.dep1));
+    ready = L::max(ready, producer_done<L>(s.complete, i, ins.dep2));
+
+    // ---------------- issue & execute ----------------
+    const V issue_time =
+        L::claim(s.slots, kIssue, acquire<L>(s.units[kPoolOf[op]], ready), t);
+    const V complete_time =
+        issue_time + L::splat(t.op_latency[op]) +
+        L::load(t.load_latency[(o >> outcome::kLoadShift) &
+                               outcome::kFieldMask]);
+
+    // ---------------- branch resolution ----------------
+    // A mispredict refetches after it resolves; a correctly predicted taken
+    // branch still ends the fetch group. Either way the functional pass
+    // marked the next instruction as a new fetch line.
+    const V redirect = (o & outcome::kMispredict)
+                           ? complete_time + L::load(t.mispredict_penalty)
+                           : fetch_time + one;
+    const bool redirects =
+        (o & (outcome::kMispredict | outcome::kTakenBranch)) != 0;
+    fetch_ready = L::max(fetch_ready, redirects ? redirect : zero);
+
+    // ---------------- commit ----------------
+    V commit_time = L::max(complete_time + one, prev_commit);
+    const M same_cycle = L::eq(commit_time, prev_commit);
+    const M cycle_full = L::both(same_cycle, L::eq(commits_in_cycle, width));
+    commit_time = commit_time + L::one_if(cycle_full);
+    commits_in_cycle = L::select(L::and_not(same_cycle, cycle_full),
+                                 commits_in_cycle + one, one);
+    prev_commit = commit_time;
+    L::store(s.complete[i & kRingMask], complete_time);
+    L::store(s.commit[i & kRingMask], commit_time);
+    // A non-memory op writes the slot the next memory op overwrites.
+    L::store(s.mem_commit[mem_ops & kRingMask], commit_time);
+    mem_ops += is_mem;
+  }
+  L::store(cycles, prev_commit);
+}
+
+}  // namespace
+}  // namespace dsml::sim::detail

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -294,6 +296,12 @@ class TraceBuilder {
 sim::Trace generate_trace(const AppProfile& profile, std::size_t n,
                           std::uint64_t seed) {
   DSML_REQUIRE(n > 0, "generate_trace: n must be positive");
+  const std::size_t most = std::vector<sim::Instr>().max_size();
+  if (n > most) {
+    throw InvalidArgument("generate_trace: n = " + std::to_string(n) +
+                          " exceeds the longest trace, " +
+                          std::to_string(most) + " instructions");
+  }
   TraceBuilder builder(profile, seed == 0 ? profile.seed : seed);
   return builder.build(n);
 }

@@ -9,6 +9,7 @@
 
 #include "common/csv.hpp"
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "data/column.hpp"
 #include "engine/design_space.hpp"
 #include "engine/registry.hpp"
@@ -18,6 +19,7 @@
 #include "linalg/backend.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "sim/trace.hpp"
 
 namespace dsml::cli {
 namespace {
@@ -641,6 +643,50 @@ TEST_F(CliTest, MalformedCountFlagsFailWithTaxonomyErrors) {
     EXPECT_EQ(result.exit_code, 1);
     EXPECT_NE(result.err.find("--top"), std::string::npos) << result.err;
   }
+}
+
+TEST_F(CliTest, SweepFeedingFlagsFailBeforeSimulatingNamingTheFlag) {
+  const std::string longest_trace =
+      "--full: at most " +
+      std::to_string(std::vector<sim::Instr>().max_size()) +
+      " instructions, got 18446744073709551615";
+  const struct {
+    std::vector<std::string> args;
+    std::string expect;
+  } cases[] = {
+      {{"sweep", "--app", "mcf", "--full", "18446744073709551615",
+        "--interval", "1"},
+       longest_trace},
+      {{"sweep", "--app", "mcf", "--interval", "0"},
+       "--interval must be >= 1"},
+      {{"sweep", "--app", "mcf", "--clusters", "0"},
+       "--clusters must be >= 1"},
+      {{"sweep", "--app", "mcf", "--full", "7999", "--interval", "4000"},
+       "--full must be at least 2 x --interval (4000), got 7999"},
+      {{"sampled", "--app", "mcf", "--rates", "0"},
+       "--rates: expected a fraction in (0,1], got '0'"},
+      {{"sampled", "--app", "mcf", "--rates", "0.02,nan"},
+       "--rates: expected a fraction in (0,1], got 'nan'"},
+      {{"sampled", "--app", "mcf", "--rates", "1.5"},
+       "--rates: expected a fraction in (0,1], got '1.5'"},
+      {{"sampled", "--app", "mcf", "--rates", "tiny"},
+       "--rates: expected a fraction in (0,1], got 'tiny'"},
+      {{"train", "--app", "mcf", "--rate", "0", "--out",
+        "/tmp/never_written.dsml"},
+       "--rate: expected a fraction in (0,1], got '0'"},
+      {{"train", "--app", "mcf", "--rate", "inf", "--out",
+        "/tmp/never_written.dsml"},
+       "--rate: expected a fraction in (0,1], got 'inf'"},
+  };
+  metrics::Counter& functional = metrics::counter("sim.functional_passes");
+  for (const auto& c : cases) {
+    const std::uint64_t passes = functional.value();
+    const auto result = run_cli(c.args);
+    EXPECT_EQ(result.exit_code, 1) << c.expect;
+    EXPECT_NE(result.err.find(c.expect), std::string::npos) << result.err;
+    EXPECT_EQ(functional.value(), passes) << c.expect;
+  }
+  EXPECT_FALSE(std::filesystem::exists("/tmp/never_written.dsml"));
 }
 
 TEST_F(CliTest, PredictCsvScoresExternalRows) {

@@ -1,0 +1,385 @@
+// Bit identity of the timing kernel's two instantiations (sim/timing_kernel.hpp):
+// every lane of a four-lane pass must equal run_timing_pass, the one-lane
+// kernel, on the same configuration, in cycles and in every SimStats field.
+// On a host with AVX2 the batch path sends whole groups to the lanes, so
+// these tests are what keeps the one-lane path honest against them; on a
+// host without it they skip, and the sweep golden covers the one-lane path.
+#include "sim/timing_kernel.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/metrics.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "workload/generator.hpp"
+#include "workload/profiles.hpp"
+
+namespace dsml::sim {
+namespace {
+
+using detail::kLanes;
+using detail::LaneState;
+
+void expect_same(const SimResult& lane, const SimResult& one,
+                 const std::string& context) {
+  EXPECT_EQ(lane.cycles, one.cycles) << context;
+  const SimStats& a = lane.stats;
+  const SimStats& b = one.stats;
+  EXPECT_EQ(a.instructions, b.instructions) << context;
+  EXPECT_EQ(a.cycles, b.cycles) << context;
+  EXPECT_EQ(a.ipc, b.ipc) << context;
+  EXPECT_EQ(a.l1d_miss_rate, b.l1d_miss_rate) << context;
+  EXPECT_EQ(a.l1i_miss_rate, b.l1i_miss_rate) << context;
+  EXPECT_EQ(a.l2_miss_rate, b.l2_miss_rate) << context;
+  EXPECT_EQ(a.l3_miss_rate, b.l3_miss_rate) << context;
+  EXPECT_EQ(a.branch_mispredict_rate, b.branch_mispredict_rate) << context;
+  EXPECT_EQ(a.itlb_miss_rate, b.itlb_miss_rate) << context;
+  EXPECT_EQ(a.dtlb_miss_rate, b.dtlb_miss_rate) << context;
+  EXPECT_EQ(a.branch_count, b.branch_count) << context;
+  EXPECT_EQ(a.mispredicts, b.mispredicts) << context;
+}
+
+/// Outcomes of one functional pass over `group` on `trace`.
+struct Functional {
+  std::vector<Outcome> outcomes;
+  FunctionalStats stats;
+};
+
+Functional run_functional(const std::vector<ProcessorConfig>& group,
+                          const Trace& trace) {
+  Functional f;
+  f.outcomes.resize(trace.size());
+  FunctionalPass pass(group);
+  f.stats = pass.run(trace.span(), f.outcomes);
+  return f;
+}
+
+/// Times `lanes` in one four-lane pass and each lane through the one-lane
+/// kernel, against the same outcomes, and compares them.
+void expect_lanes_match(const std::vector<ProcessorConfig>& lanes,
+                        const Trace& trace, const Functional& f,
+                        const std::string& context) {
+  auto state = std::make_unique<LaneState<kLanes>>();
+  std::vector<SimResult> results(lanes.size());
+  detail::run_timing_lanes(lanes, {}, trace.span(), f.outcomes, f.stats,
+                           *state, results);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    expect_same(results[l],
+                run_timing_pass(lanes[l], {}, trace.span(), f.outcomes,
+                                f.stats),
+                context + ", lane " + std::to_string(l) + " " +
+                    lanes[l].key());
+  }
+}
+
+/// A random cache geometry with `predictor` and `issue_wrong`.
+ProcessorConfig random_geometry(Rng& rng, BranchPredictorKind predictor,
+                                bool issue_wrong) {
+  constexpr int kL1Sizes[] = {16, 32, 64};
+  ProcessorConfig c;
+  c.l1d_size_kb = kL1Sizes[rng.below(3)];
+  c.l1i_size_kb = kL1Sizes[rng.below(3)];
+  c.l1d_line_b = rng.chance(0.5) ? 32 : 64;
+  c.l1i_line_b = c.l1d_line_b;
+  c.l2_size_kb = rng.chance(0.5) ? 256 : 1024;
+  c.l2_assoc = rng.chance(0.5) ? 4 : 8;
+  if (rng.chance(0.5)) {
+    c.l3_size_mb = 8;
+    c.l3_line_b = 256;
+    c.l3_assoc = 8;
+  }
+  c.branch_predictor = predictor;
+  c.issue_wrong = issue_wrong;
+  return c;
+}
+
+/// Every timing variant of `geometry` that validate() accepts: width, FU
+/// mix, RUU, LSQ and both TLB reaches vary independently (64 in all), so
+/// lanes differ in more than the design space's tied pairs.
+std::vector<ProcessorConfig> timing_variants(const ProcessorConfig& geometry) {
+  std::vector<ProcessorConfig> out;
+  for (const int width : {4, 8}) {
+    for (const bool wide_fu : {false, true}) {
+      for (const int ruu : {128, 256}) {
+        for (const int lsq : {64, 128}) {
+          for (const int itlb : {256, 1024}) {
+            for (const int dtlb : {512, 2048}) {
+              ProcessorConfig c = geometry;
+              c.width = width;
+              c.fu = wide_fu ? FunctionalUnitMix{8, 4, 4, 8, 4}
+                             : FunctionalUnitMix{4, 2, 2, 4, 2};
+              c.ruu_size = ruu;
+              c.lsq_size = lsq;
+              c.itlb_size_kb = itlb;
+              c.dtlb_size_kb = dtlb;
+              out.push_back(c);
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// The design space's four timings of one geometry: width x core size.
+std::vector<ProcessorConfig> sweep_timings(const ProcessorConfig& geometry) {
+  std::vector<ProcessorConfig> out;
+  for (const ProcessorConfig& c : enumerate_design_space()) {
+    if (c.functional_key() == geometry.functional_key() &&
+        c.issue_wrong == geometry.issue_wrong) {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+/// A configuration with the design space's default geometry and core.
+ProcessorConfig base_config(int width, bool big) {
+  ProcessorConfig c;
+  c.branch_predictor = BranchPredictorKind::kBimodal;
+  c.width = width;
+  c.fu = width == 8 ? FunctionalUnitMix{8, 4, 4, 8, 4}
+                    : FunctionalUnitMix{4, 2, 2, 4, 2};
+  c.ruu_size = big ? 256 : 128;
+  c.lsq_size = big ? 128 : 64;
+  c.itlb_size_kb = big ? 1024 : 256;
+  c.dtlb_size_kb = big ? 2048 : 512;
+  return c;
+}
+
+class TimingLanes : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!detail::lanes_supported()) {
+      GTEST_SKIP() << "no four-lane timing kernel on this host";
+    }
+  }
+};
+
+TEST_F(TimingLanes, RandomGroupsMatchTheOneLaneKernel) {
+  Rng rng(17);
+  constexpr const char* kApps[] = {"mcf", "gcc", "applu"};
+  for (const BranchPredictorKind predictor :
+       {BranchPredictorKind::kPerfect, BranchPredictorKind::kBimodal,
+        BranchPredictorKind::kTwoLevel, BranchPredictorKind::kCombination}) {
+    for (const bool issue_wrong : {false, true}) {
+      const ProcessorConfig geometry =
+          random_geometry(rng, predictor, issue_wrong);
+      const char* app = kApps[rng.below(3)];
+      const Trace trace = workload::generate_trace(
+          workload::spec_profile(app), 12000, rng.below(1000) + 1);
+      std::vector<ProcessorConfig> group = timing_variants(geometry);
+      if (predictor == BranchPredictorKind::kPerfect) {
+        // issue_wrong twins share the key, so they share the pass.
+        for (ProcessorConfig twin : timing_variants(geometry)) {
+          twin.issue_wrong = !issue_wrong;
+          group.push_back(twin);
+        }
+      }
+      const Functional f = run_functional(group, trace);
+      const std::string context = std::string(app) + " " + geometry.key();
+
+      // 1 to 4 lanes drawn with replacement, so lanes may repeat.
+      for (std::size_t count = 1; count <= kLanes; ++count) {
+        for (int draw = 0; draw < 3; ++draw) {
+          std::vector<ProcessorConfig> lanes;
+          for (std::size_t l = 0; l < count; ++l) {
+            lanes.push_back(group[rng.below(group.size())]);
+          }
+          expect_lanes_match(lanes, trace, f, context);
+        }
+      }
+      // The sweep's own lanes, and one of them duplicated.
+      const std::vector<ProcessorConfig> sweep = sweep_timings(geometry);
+      ASSERT_EQ(sweep.size(), kLanes);
+      expect_lanes_match(sweep, trace, f, context + " sweep");
+      expect_lanes_match({sweep[2], sweep[0], sweep[2], sweep[3]}, trace, f,
+                         context + " duplicated lane");
+      if (predictor == BranchPredictorKind::kPerfect) {
+        ProcessorConfig twin = sweep[1];
+        twin.issue_wrong = !twin.issue_wrong;
+        expect_lanes_match({sweep[1], twin, sweep[3]}, trace, f,
+                           context + " perfect twins");
+      }
+    }
+  }
+}
+
+// Synthetic traces aimed at the kernel's edges. Every trace runs against
+// the four lanes {4-wide small, 4-wide big, 8-wide small, 8-wide big} and
+// a mix whose RUU, LSQ, width and FU mix all differ lane to lane.
+
+/// Appends one instruction at the next pc.
+void emit(Trace& t, OpClass op, std::uint32_t dep1, std::uint32_t dep2,
+          std::uint64_t mem_addr = 0, bool taken = false) {
+  Instr ins;
+  ins.pc = 0x400000 + 4 * (t.instrs.size() % 4096);
+  ins.op = op;
+  ins.dep1 = dep1;
+  ins.dep2 = dep2;
+  ins.mem_addr = mem_addr;
+  ins.taken = taken;
+  ins.target = ins.pc + 64;
+  t.instrs.push_back(ins);
+}
+
+void expect_synthetic_trace_matches(const Trace& trace,
+                                    const std::string& name) {
+  const std::vector<ProcessorConfig> sweep = {
+      base_config(4, false), base_config(4, true), base_config(8, false),
+      base_config(8, true)};
+  ProcessorConfig mixed_a = base_config(8, false);
+  mixed_a.fu = {4, 2, 2, 4, 2};
+  mixed_a.lsq_size = 128;
+  ProcessorConfig mixed_b = base_config(4, true);
+  mixed_b.fu = {8, 4, 4, 8, 4};
+  mixed_b.lsq_size = 64;
+  std::vector<ProcessorConfig> group = sweep;
+  group.push_back(mixed_a);
+  group.push_back(mixed_b);
+  const Functional f = run_functional(group, trace);
+  expect_lanes_match(sweep, trace, f, name + " sweep lanes");
+  expect_lanes_match({mixed_a, sweep[1], mixed_b, sweep[2]}, trace, f,
+                     name + " mixed lanes");
+  expect_lanes_match({sweep[3], mixed_b, sweep[0]}, trace, f,
+                     name + " three lanes");
+}
+
+TEST_F(TimingLanes, DependencyDistancesAtTheRingEdges) {
+  // 0 is no producer; 1 the previous instruction; 255/256 and 511/512
+  // either side of the RUU sizes and of the ring's last tracked slot;
+  // 2^32-1 is never tracked. Loads and multiplies between them give the
+  // producers different completion times.
+  constexpr std::uint32_t kDistances[] = {0,   1,   255,       256,
+                                          511, 512, 0xffffffffu};
+  Trace trace;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    const std::uint32_t dep1 = kDistances[i % 7];
+    const std::uint32_t dep2 = kDistances[(i / 7) % 7];
+    switch (i % 5) {
+      case 0:
+        emit(trace, OpClass::kLoad, dep1, dep2, 0x10000000 + (i % 97) * 4096);
+        break;
+      case 1:
+        emit(trace, OpClass::kIntMult, dep1, dep2);
+        break;
+      case 2:
+        emit(trace, OpClass::kFpMult, dep1, dep2);
+        break;
+      default:
+        emit(trace, OpClass::kIntAlu, dep1, dep2);
+        break;
+    }
+  }
+  expect_synthetic_trace_matches(trace, "dependency distances");
+}
+
+TEST_F(TimingLanes, LongLatencyLoadRunsWrapTheRuuAndLsqRings) {
+  // Loads that miss every cache and TLB hold their window entries for
+  // hundreds of cycles, so dispatch waits on look-back slots and both rings
+  // wrap many times. A run of such loads fills the LSQ first (they are
+  // independent, so no late-ready load books the memory ports ahead); one
+  // such load followed by independent ALU work fills the RUU, which the LSQ
+  // never sees.
+  Trace trace;
+  std::uint64_t far = 0x40000000;
+  for (int run = 0; run < 12; ++run) {
+    for (int k = 0; k < 700; ++k) {
+      far += 3 * 1024 * 1024 + 64 * static_cast<std::uint64_t>(k % 7);
+      emit(trace, OpClass::kLoad, 0, 0, far);
+      if (k % 4 == 0) emit(trace, OpClass::kIntAlu, 0, 0);
+      if (k % 9 == 0) emit(trace, OpClass::kStore, 0, 0, far + 8);
+    }
+    for (int k = 0; k < 300; ++k) emit(trace, OpClass::kIntAlu, 1, 0);
+    for (int miss = 0; miss < 4; ++miss) {
+      far += 7 * 1024 * 1024;
+      emit(trace, OpClass::kLoad, 0, 0, far);
+      for (int k = 0; k < 400; ++k) emit(trace, OpClass::kIntAlu, 0, 0);
+    }
+  }
+  expect_synthetic_trace_matches(trace, "long-latency loads");
+}
+
+TEST_F(TimingLanes, IssueBurstsWalkPastFullCyclesAndReuseStaleSlots) {
+  // A load that misses to memory, then a burst of independent ops that all
+  // read it: they become ready in one cycle, so issue claims walk past full
+  // cycles and each pool books units ahead. The miss also jumps the clock
+  // past the limiter ring, so the next claims land on stale slots.
+  Trace trace;
+  std::uint64_t far = 0x80000000;
+  for (int burst = 0; burst < 60; ++burst) {
+    far += 5 * 1024 * 1024;
+    emit(trace, OpClass::kLoad, 0, 0, far);
+    for (std::uint32_t k = 1; k <= 40; ++k) {
+      constexpr OpClass kMix[] = {OpClass::kIntAlu, OpClass::kIntMult,
+                                  OpClass::kLoad, OpClass::kFpAlu,
+                                  OpClass::kFpMult, OpClass::kStore};
+      const OpClass op = kMix[(k + static_cast<std::uint32_t>(burst)) % 6];
+      emit(trace, op, k, 0, 0x20000000 + 64 * k);
+    }
+    // Independent work: dispatch bursts limited by width alone.
+    for (int k = 0; k < 64; ++k) emit(trace, OpClass::kIntAlu, 0, 0);
+    emit(trace, OpClass::kBranch, 1, 0, 0, burst % 3 == 0);
+  }
+  expect_synthetic_trace_matches(trace, "issue bursts");
+}
+
+TEST_F(TimingLanes, RejectsBadLaneCountsAndUnmodelledReaches) {
+  const Trace trace =
+      workload::generate_trace(workload::spec_profile("gcc"), 4000);
+  const std::vector<ProcessorConfig> small = {base_config(4, false)};
+  const Functional f = run_functional(small, trace);
+  auto state = std::make_unique<LaneState<kLanes>>();
+  std::vector<SimResult> results(5);
+  const std::vector<ProcessorConfig> five(5, base_config(4, false));
+  EXPECT_THROW(detail::run_timing_lanes(five, {}, trace.span(), f.outcomes,
+                                        f.stats, *state, results),
+               InvalidArgument);
+  EXPECT_THROW(detail::run_timing_lanes({}, {}, trace.span(), f.outcomes,
+                                        f.stats, *state, {}),
+               InvalidArgument);
+  // The pass modelled only the small core's TLB reaches.
+  const std::vector<ProcessorConfig> big = {base_config(4, true)};
+  EXPECT_THROW(
+      detail::run_timing_lanes(big, {}, trace.span(), f.outcomes, f.stats,
+                               *state, std::span(results).first(1)),
+      InvalidArgument);
+}
+
+TEST_F(TimingLanes, BatchTimesGroupsOfThreeOrMoreInLanes) {
+  // One group with k distinct timings: four-lane passes while at least
+  // three timings remain, one-lane passes for the rest.
+  const Trace trace =
+      workload::generate_trace(workload::spec_profile("mcf"), 6000);
+  ProcessorConfig geometry = base_config(4, false);
+  const std::vector<ProcessorConfig> variants = timing_variants(geometry);
+  metrics::Counter& lane_passes = metrics::counter("sim.lane_passes");
+  metrics::Counter& timing_passes = metrics::counter("sim.timing_passes");
+  constexpr std::uint64_t kExpectedLanePasses[] = {0, 0, 1, 1, 1, 1, 2, 2, 2};
+  ThreadPool pool(2);
+  for (std::size_t k = 1; k <= 9; ++k) {
+    // Every variant twice: duplicates share their first occurrence's pass.
+    std::vector<ProcessorConfig> configs;
+    for (std::size_t i = 0; i < k; ++i) configs.push_back(variants[i * 7]);
+    for (std::size_t i = 0; i < k; ++i) configs.push_back(variants[i * 7]);
+    const std::uint64_t lanes0 = lane_passes.value();
+    const std::uint64_t timing0 = timing_passes.value();
+    const std::vector<SimResult> batch = simulate_batch(pool, configs, trace);
+    EXPECT_EQ(lane_passes.value() - lanes0, kExpectedLanePasses[k - 1])
+        << k << " timings";
+    EXPECT_EQ(timing_passes.value() - timing0, k) << k << " timings";
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      expect_same(batch[i], simulate(configs[i], trace),
+                  std::to_string(k) + " timings, " + configs[i].key());
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dsml::sim

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "workload/profiles.hpp"
@@ -183,6 +186,20 @@ TEST(Generator, MemoryFootprintOrdering) {
 
 TEST(Generator, ZeroLengthThrows) {
   EXPECT_THROW(generate_trace(spec_profile("applu"), 0), InvalidArgument);
+}
+
+TEST(Generator, LengthAboveTheLongestVectorThrowsInvalidArgument) {
+  // Not std::length_error from vector::reserve: a typed error naming n.
+  const std::size_t too_long = std::vector<sim::Instr>().max_size() + 1;
+  try {
+    generate_trace(spec_profile("mcf"), too_long);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(too_long)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(generate_trace(spec_profile("mcf"), SIZE_MAX), InvalidArgument);
 }
 
 TEST(TraceOpNames, ToString) {

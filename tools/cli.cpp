@@ -49,6 +49,7 @@
 #include "ml/metrics.hpp"
 #include "ml/model_zoo.hpp"
 #include "ml/serialize.hpp"
+#include "sim/trace.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -169,12 +170,47 @@ specdata::RatingTarget parse_target(const std::string& spec) {
 /// The flags sweep_options_from reads.
 const Flags kSweepFlags = {"full", "interval", "clusters"};
 
+/// The sweep flags, checked here so that a bad value fails before any
+/// simulation, naming its flag.
 dse::SweepOptions sweep_options_from(const Options& opt) {
   dse::SweepOptions sweep;
   sweep.full_trace_instructions = parse_count_flag(opt, "full", "600000");
   sweep.interval_instructions = parse_count_flag(opt, "interval", "30000");
   sweep.max_clusters = parse_count_flag(opt, "clusters", "4");
+  if (sweep.interval_instructions == 0) {
+    throw InvalidArgument("--interval must be >= 1");
+  }
+  if (sweep.max_clusters == 0) {
+    throw InvalidArgument("--clusters must be >= 1");
+  }
+  const std::size_t longest = std::vector<sim::Instr>().max_size();
+  if (sweep.full_trace_instructions > longest) {
+    throw InvalidArgument("--full: at most " + std::to_string(longest) +
+                          " instructions, got " +
+                          std::to_string(sweep.full_trace_instructions));
+  }
+  // Halving --full rather than doubling --interval cannot overflow.
+  if (sweep.full_trace_instructions / 2 < sweep.interval_instructions) {
+    throw InvalidArgument(
+        "--full must be at least 2 x --interval (" +
+        std::to_string(sweep.interval_instructions) + "), got " +
+        std::to_string(sweep.full_trace_instructions));
+  }
   return sweep;
+}
+
+/// A sampling-rate flag's value as a fraction in (0,1].
+double parse_fraction(const std::string& flag, const std::string& value) {
+  const std::string expected =
+      "--" + flag + ": expected a fraction in (0,1], got '" + value + "'";
+  double rate = 0.0;
+  try {
+    rate = strings::parse_double(value);
+  } catch (const IoError&) {
+    throw InvalidArgument(expected);
+  }
+  if (!(rate > 0.0) || rate > 1.0) throw InvalidArgument(expected);
+  return rate;
 }
 
 /// Prints the failures a degraded run tolerated (empty = silent). One
@@ -200,18 +236,18 @@ int cmd_sampled(const std::vector<std::string>& args, std::ostream& out) {
   const Options opt =
       parse_options(args, kSweepFlags + Flags{"app", "rates", "models"});
   const std::string app = opt.get_or("app", "mcf");
-  const dse::SweepResult sweep =
-      dse::run_design_space_sweep(app, sweep_options_from(opt));
   dse::SampledDseOptions options;
   if (const auto rates = opt.get("rates")) {
     options.sampling_rates.clear();
     for (const auto& r : parse_list(*rates)) {
-      options.sampling_rates.push_back(strings::parse_double(r));
+      options.sampling_rates.push_back(parse_fraction("rates", r));
     }
   }
   if (const auto models = opt.get("models")) {
     options.model_names = parse_list(*models);
   }
+  const dse::SweepResult sweep =
+      dse::run_design_space_sweep(app, sweep_options_from(opt));
   const auto result =
       dse::run_sampled_dse(dse::sweep_dataset(sweep), app, options);
   TablePrinter table({"model", "rate", "est err %", "true err %"});
@@ -257,7 +293,7 @@ int cmd_train(const std::vector<std::string>& args, std::ostream& out) {
   const Options opt = parse_options(
       args, kSweepFlags + Flags{"app", "rate", "model", "out", "seed"});
   const std::string app = opt.get_or("app", "mcf");
-  const double rate = strings::parse_double(opt.get_or("rate", "0.02"));
+  const double rate = parse_fraction("rate", opt.get_or("rate", "0.02"));
   const std::string model_name = opt.get_or("model", "NN-E");
   const std::string out_path = opt.get_or("out", "model.dsml");
   // Parse every flag before the (expensive) sweep so a malformed --seed
@@ -664,18 +700,8 @@ std::size_t campaign_budget(const Options& opt) {
     }
     return budget;
   }
-  const std::string value = opt.get_or("sample-rate", "0.01");
-  double rate = 0.0;
-  try {
-    rate = strings::parse_double(value);
-  } catch (const IoError&) {
-    throw InvalidArgument("--sample-rate: expected a fraction in (0,1], got '" +
-                          value + "'");
-  }
-  if (!(rate > 0.0) || rate > 1.0) {
-    throw InvalidArgument("--sample-rate: expected a fraction in (0,1], got '" +
-                          value + "'");
-  }
+  const double rate =
+      parse_fraction("sample-rate", opt.get_or("sample-rate", "0.01"));
   return std::max<std::size_t>(
       10, static_cast<std::size_t>(
               static_cast<double>(sim::kDesignSpaceSize) * rate));
