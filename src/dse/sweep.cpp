@@ -37,27 +37,44 @@ std::string cache_path(const std::string& app, const SweepOptions& options) {
   return os.str();
 }
 
+/// Loads the cached table at `path` into `result`. A cache that is not the
+/// table store_cache writes is treated exactly like a missing one: the
+/// sweep re-simulates and rewrites it rather than failing over a
+/// discardable artifact, or loading a torn or hand-edited file. The table
+/// must list configurations 0 .. kDesignSpaceSize-1 in order, each with a
+/// positive integer cycle count, and one simpoint count and one
+/// instruction count, the same on every row.
 bool load_cached(const std::string& path, SweepResult& result) {
   if (!std::filesystem::exists(path)) return false;
-  // A corrupt cache (torn write from a killed run, hand-edited file) is
-  // treated exactly like a missing one: fall through to re-simulation rather
-  // than failing the sweep over a discardable artifact.
   try {
     DSML_FAIL("dse.sweep.cache_load");
     const csv::Table table = csv::read_file(path);
+    const std::size_t cfg = table.column_index("config");
     const std::size_t cyc = table.column_index("cycles");
     const std::size_t pts = table.column_index("simpoints");
     const std::size_t ins = table.column_index("instructions");
-    if (table.rows.size() != sim::kDesignSpaceSize) return false;
-    result.cycles.clear();
-    result.cycles.reserve(table.rows.size());
-    for (const auto& row : table.rows) {
-      result.cycles.push_back(strings::parse_double(row[cyc]));
+    if (table.rows.size() != sim::kDesignSpaceSize) {
+      throw IoError("sweep cache: " + std::to_string(table.rows.size()) +
+                    " rows");
     }
-    result.simpoint_count =
-        static_cast<std::size_t>(strings::parse_double(table.rows[0][pts]));
-    result.simulated_instructions =
-        static_cast<std::size_t>(strings::parse_double(table.rows[0][ins]));
+    const std::uint64_t simpoints = strings::parse_u64(table.rows[0][pts]);
+    const std::uint64_t instructions = strings::parse_u64(table.rows[0][ins]);
+    std::vector<double> cycles;
+    cycles.reserve(table.rows.size());
+    for (std::size_t i = 0; i < table.rows.size(); ++i) {
+      const std::vector<std::string>& row = table.rows[i];
+      const std::uint64_t c = strings::parse_u64(row[cyc]);
+      if (strings::parse_u64(row[cfg]) != i || c == 0 ||
+          strings::parse_u64(row[pts]) != simpoints ||
+          strings::parse_u64(row[ins]) != instructions) {
+        throw IoError("sweep cache: row " + std::to_string(i) +
+                      " is not a configuration's result");
+      }
+      cycles.push_back(static_cast<double>(c));
+    }
+    result.cycles = std::move(cycles);
+    result.simpoint_count = static_cast<std::size_t>(simpoints);
+    result.simulated_instructions = static_cast<std::size_t>(instructions);
     result.from_cache = true;
     return true;
   } catch (const std::exception&) {

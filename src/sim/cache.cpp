@@ -67,6 +67,8 @@ bool Cache::probe(std::uint64_t addr) const {
 void Cache::flush() {
   for (Way& way : ways_) way = Way{};
   stamp_ = 0;
+  hits_ = 0;
+  misses_ = 0;
 }
 
 double Cache::miss_rate() const noexcept {

@@ -27,7 +27,8 @@ class Cache {
   /// Non-allocating lookup (used to model wrong-path pollution control).
   bool probe(std::uint64_t addr) const;
 
-  /// Invalidate everything.
+  /// Invalidate every line and zero the hit and miss counts, as if newly
+  /// constructed.
   void flush();
 
   std::uint64_t hits() const noexcept { return hits_; }

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
+#include "sim/functional_streams.hpp"
 #include "sim/timing_kernel.hpp"
 
 namespace dsml::sim {
@@ -412,8 +413,11 @@ SimResult OutOfOrderCore::run(std::span<const Instr> trace) {
 }
 
 SimResult simulate(const ProcessorConfig& config, const Trace& trace) {
+  static metrics::Counter& instructions = metrics::counter("sim.instructions");
   OutOfOrderCore core(config);
-  return core.run(trace.span());
+  const SimResult result = core.run(trace.span());
+  instructions.add(trace.size());
+  return result;
 }
 
 namespace {
@@ -433,26 +437,22 @@ bool same_timing(ProcessorConfig a, const ProcessorConfig& b) {
 /// so three or four timings gain and one or two do not.
 constexpr std::size_t kMinLanes = 3;
 
-/// One worker's share of simulate_batch: it times whole functional groups
-/// and owns an outcome buffer and, once a group needs it, the lane state.
+/// One worker's share of simulate_batch's timing: it times whole functional
+/// groups, and owns the lane state once a group needs it.
 class GroupTimer {
  public:
   GroupTimer(std::span<const ProcessorConfig> configs, const Trace& trace,
              std::span<SimResult> results)
       : configs_(configs), trace_(trace), results_(results) {}
 
-  void time(const std::vector<std::size_t>& group) {
-    members_.clear();
-    for (const std::size_t idx : group) members_.push_back(configs_[idx]);
-    FunctionalPass functional(members_);
-    outcomes_.resize(trace_.size());
-    const FunctionalStats stats = functional.run(trace_.span(), outcomes_);
-
+  void time(std::span<const std::size_t> group,
+            std::span<const Outcome> outcomes, const FunctionalStats& stats) {
     // The group's distinct timings in member order; a twin takes the result
     // of the first member it cannot be told apart from.
     distinct_.clear();
     timing_of_.clear();
-    for (const ProcessorConfig& c : members_) {
+    for (const std::size_t idx : group) {
+      const ProcessorConfig& c = configs_[idx];
       std::size_t d = 0;
       while (d < distinct_.size() && !same_timing(distinct_[d], c)) ++d;
       if (d == distinct_.size()) distinct_.push_back(c);
@@ -467,14 +467,14 @@ class GroupTimer {
         const std::size_t count = std::min(kLanes, distinct_.size() - next);
         detail::run_timing_lanes(
             std::span(distinct_).subspan(next, count), LatencyModel{},
-            trace_.span(), outcomes_, stats, *lanes_,
+            trace_.span(), outcomes, stats, *lanes_,
             std::span(timed_).subspan(next, count));
         next += count;
       }
     }
     for (; next < distinct_.size(); ++next) {
       timed_[next] = run_timing_pass(distinct_[next], LatencyModel{},
-                                     trace_.span(), outcomes_, stats);
+                                     trace_.span(), outcomes, stats);
     }
     for (std::size_t m = 0; m < group.size(); ++m) {
       results_[group[m]] = timed_[timing_of_[m]];
@@ -485,9 +485,7 @@ class GroupTimer {
   std::span<const ProcessorConfig> configs_;
   const Trace& trace_;
   std::span<SimResult> results_;
-  std::vector<Outcome> outcomes_;
   std::unique_ptr<LaneState<kLanes>> lanes_;
-  std::vector<ProcessorConfig> members_;
   std::vector<ProcessorConfig> distinct_;
   std::vector<std::size_t> timing_of_;  ///< per member, its distinct_ index
   std::vector<SimResult> timed_;        ///< per distinct timing
@@ -499,28 +497,35 @@ std::vector<SimResult> simulate_batch(ThreadPool& pool,
                                       std::span<const ProcessorConfig> configs,
                                       const Trace& trace) {
   DSML_REQUIRE(!trace.instrs.empty(), "simulate_batch: empty trace");
-  std::map<FunctionalKey, std::vector<std::size_t>> by_key;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    by_key[configs[i].functional_key()].push_back(i);
-  }
-  std::vector<std::vector<std::size_t>> groups;
-  groups.reserve(by_key.size());
-  for (auto& entry : by_key) groups.push_back(std::move(entry.second));
+  static metrics::Counter& instructions = metrics::counter("sim.instructions");
+  trace::Span batch_span("sim.simulate_batch", "sim");
+  const detail::FunctionalStreams streams = [&] {
+    trace::Span streams_span("sim.functional_streams", "sim");
+    return detail::FunctionalStreams(pool, configs, trace.span());
+  }();
 
-  // Each worker claims one group at a time, so a worker's buffers serve
-  // every group it times.
+  // Each worker claims one unit (L2 key) at a time, so a worker's caches
+  // and buffers serve every unit it walks.
   std::vector<SimResult> results(configs.size());
-  std::atomic<std::size_t> next_group{0};
+  std::atomic<std::size_t> next_unit{0};
   parallel_for(
-      pool, 0, std::min(pool.size(), groups.size()),
+      pool, 0, std::min(pool.size(), streams.units()),
       [&](std::size_t) {
+        detail::UnitWalker walker(streams);
         GroupTimer timer(configs, trace, results);
-        for (std::size_t g = next_group.fetch_add(1); g < groups.size();
-             g = next_group.fetch_add(1)) {
-          timer.time(groups[g]);
+        const detail::UnitWalker::Visit time_group =
+            [&timer](std::span<const std::size_t> group,
+                     std::span<const Outcome> outcomes,
+                     const FunctionalStats& stats) {
+              timer.time(group, outcomes, stats);
+            };
+        for (std::size_t u = next_unit.fetch_add(1); u < streams.units();
+             u = next_unit.fetch_add(1)) {
+          walker.walk(u, time_group);
         }
       },
       /*grain=*/1);
+  instructions.add(trace.size() * configs.size());
   return results;
 }
 

@@ -28,7 +28,11 @@
 // each access, the TLB misses and the mispredicts (an Outcome). The *timing
 // pass* turns those outcomes into latencies through the LatencyModel and
 // runs the width/RUU/LSQ/FU model. Configurations with one FunctionalKey
-// share a functional pass; simulate_batch groups them that way.
+// share one Outcome stream. FunctionalPass computes it for one group, as
+// simulate() does; simulate_batch builds every group's stream from state it
+// shares across groups (sim/functional_streams.hpp): each TLB reach,
+// predictor and L1 is walked once per batch, and each L2 once for a group
+// and its L3 twin.
 //
 // The timing kernel is one template over lanes (sim/timing_kernel.hpp). Its
 // one-lane instantiation times a single configuration: run_timing_pass,
@@ -122,6 +126,8 @@ struct FunctionalStats {
 /// The functional pass for one group of configurations sharing a
 /// FunctionalKey: caches, TLBs and branch predictor, walked in trace order.
 /// State carries across run() calls, so a second run sees warm structures.
+/// The one-configuration path (OutOfOrderCore) runs it, and it is the
+/// reference simulate_batch's shared streams are tested against.
 class FunctionalPass {
  public:
   /// Throws InvalidArgument on an empty or invalid group, keys that differ,
@@ -178,18 +184,25 @@ class OutOfOrderCore {
   FunctionalPass functional_;
 };
 
-/// Facade: simulate one configuration against one trace.
+/// Facade: simulate one configuration against one trace. Counts
+/// sim.instructions (the trace's length).
 SimResult simulate(const ProcessorConfig& config, const Trace& trace);
 
 /// Simulate every configuration against one trace, cold, index-aligned
-/// with `configs` and bit-identical to simulate() on each. Configurations
-/// are grouped by FunctionalKey: each group costs one functional pass, and
-/// its distinct timings (perfect-predictor issue_wrong twins share one) are
-/// timed four to a four-lane pass while at least three remain, then one at
-/// a time; without AVX2 every timing takes a one-lane pass. Each worker of
-/// `pool` claims one group at a time and keeps one outcome buffer, plus
-/// lane state once a group needs it. Counts sim.functional_passes,
-/// sim.timing_passes (configurations timed) and sim.lane_passes.
+/// with `configs` and bit-identical to simulate() on each. Throws
+/// InvalidArgument before simulating anything when a configuration is
+/// invalid. Configurations are grouped by FunctionalKey. The batch first
+/// walks every DTLB reach, predictor kind, fetch-line stream and L1 its
+/// groups need once (sim.l1_passes counts the L1D and L1I walks); then each
+/// worker of `pool` claims one L2 key at a time, walks its L2 and L3 once
+/// (sim.l2_passes) and composes the Outcome stream of each group under it
+/// (sim.functional_passes). A group's distinct timings (perfect-predictor
+/// issue_wrong twins share one) are timed four to a four-lane pass while at
+/// least three remain, then one at a time; without AVX2 every timing takes
+/// a one-lane pass. Counts sim.timing_passes (configurations timed),
+/// sim.lane_passes and sim.instructions (trace length x configurations),
+/// inside a sim.simulate_batch span whose sim.functional_streams child
+/// covers the shared walks.
 std::vector<SimResult> simulate_batch(ThreadPool& pool,
                                       std::span<const ProcessorConfig> configs,
                                       const Trace& trace);

@@ -107,6 +107,19 @@ TEST(Cache, FlushEmptiesCache) {
   EXPECT_FALSE(c.probe(0x100));
 }
 
+TEST(Cache, FlushZeroesTheCounters) {
+  // A flushed cache reports only what it sees after the flush, as a new
+  // one would: simulate_batch reuses one L2 and one L3 per worker.
+  Cache c(1024, 64, 2);
+  c.access(0x100);
+  c.access(0x100);
+  c.flush();
+  EXPECT_EQ(c.hits(), 0u);
+  EXPECT_EQ(c.misses(), 0u);
+  EXPECT_FALSE(c.access(0x100));
+  EXPECT_DOUBLE_EQ(c.miss_rate(), 1.0);
+}
+
 TEST(Cache, MissRate) {
   Cache c(1024, 64, 2);
   EXPECT_DOUBLE_EQ(c.miss_rate(), 0.0);  // no accesses yet

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -224,6 +225,25 @@ TEST(Core, BatchMatchesSimulateOnAnySubset) {
     EXPECT_EQ(batch[i].stats.dtlb_miss_rate, one.stats.dtlb_miss_rate);
   }
   EXPECT_TRUE(simulate_batch({}, trace).empty());
+}
+
+TEST(Core, BatchRejectsAnInvalidConfigurationBeforeSimulating) {
+  const std::vector<ProcessorConfig> space = enumerate_design_space();
+  std::vector<ProcessorConfig> configs(space.begin(), space.begin() + 40);
+  configs.back().l1d_size_kb = 128;  // not a Table 1 value
+  const Trace trace = compute_trace();
+  std::vector<metrics::Counter*> counters;
+  for (const char* name :
+       {"sim.functional_passes", "sim.timing_passes", "sim.l1_passes",
+        "sim.l2_passes", "sim.instructions"}) {
+    counters.push_back(&metrics::counter(name));
+  }
+  std::vector<std::uint64_t> before;
+  for (const metrics::Counter* c : counters) before.push_back(c->value());
+  EXPECT_THROW(simulate_batch(configs, trace), InvalidArgument);
+  for (std::size_t k = 0; k < counters.size(); ++k) {
+    EXPECT_EQ(counters[k]->value(), before[k]) << "counter " << k;
+  }
 }
 
 TEST(Core, LatencyModelScalesCycles) {

@@ -2,11 +2,16 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
+#include "common/failpoint.hpp"
 #include "common/metrics.hpp"
 #include "dse/chronological.hpp"
 #include "dse/sampled.hpp"
 #include "dse/sweep.hpp"
+#include "sim/timing_kernel.hpp"
 
 namespace dsml::dse {
 namespace {
@@ -36,15 +41,32 @@ TEST(Sweep, CoversFullDesignSpace) {
 TEST(Sweep, CountsFunctionalAndTimingPasses) {
   metrics::Counter& functional = metrics::counter("sim.functional_passes");
   metrics::Counter& timing = metrics::counter("sim.timing_passes");
+  metrics::Counter& lanes = metrics::counter("sim.lane_passes");
+  metrics::Counter& l1 = metrics::counter("sim.l1_passes");
+  metrics::Counter& l2 = metrics::counter("sim.l2_passes");
+  metrics::Counter& instructions = metrics::counter("sim.instructions");
   metrics::Counter& simulated = metrics::counter("dse.configs_simulated");
   const std::uint64_t functional0 = functional.value();
   const std::uint64_t timing0 = timing.value();
+  const std::uint64_t lanes0 = lanes.value();
+  const std::uint64_t l10 = l1.value();
+  const std::uint64_t l20 = l2.value();
+  const std::uint64_t instructions0 = instructions.value();
   const std::uint64_t simulated0 = simulated.value();
-  run_design_space_sweep("gcc", tiny_sweep());
+  const SweepResult sweep = run_design_space_sweep("gcc", tiny_sweep());
   // 144 cache geometries x (3 predictors x 2 issue_wrong + perfect) keys;
-  // each key times 4 width/core pairs, perfect twins sharing one pass.
+  // each key times 4 width/core pairs, perfect twins sharing one pass, in
+  // one four-lane pass where the host has AVX2.
   EXPECT_EQ(functional.value() - functional0, 1008u);
   EXPECT_EQ(timing.value() - timing0, 4032u);
+  EXPECT_EQ(lanes.value() - lanes0,
+            sim::detail::lanes_supported() ? 1008u : 0u);
+  // 6 L1D geometries and 6 L1I geometries x 7 predictor/issue_wrong
+  // pairs; one L2 walk per key without its L3.
+  EXPECT_EQ(l1.value() - l10, 48u);
+  EXPECT_EQ(l2.value() - l20, 504u);
+  EXPECT_EQ(instructions.value() - instructions0,
+            sim::kDesignSpaceSize * sweep.simulated_instructions);
   EXPECT_EQ(simulated.value() - simulated0, sim::kDesignSpaceSize);
 }
 
@@ -69,6 +91,114 @@ TEST(Sweep, DatasetHasTargetAndFeatures) {
   EXPECT_EQ(ds.n_rows(), sim::kDesignSpaceSize);
   EXPECT_EQ(ds.n_features(), 24u);
   EXPECT_TRUE(ds.has_target());
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void write_text(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// `csv` with cell `col` of data row `row` (the header is not a data row)
+/// replaced by `value`.
+std::string with_cell(const std::string& csv, std::size_t row, std::size_t col,
+                      const std::string& value) {
+  std::size_t begin = csv.find('\n') + 1;
+  for (std::size_t r = 0; r < row; ++r) begin = csv.find('\n', begin) + 1;
+  for (std::size_t c = 0; c < col; ++c) begin = csv.find(',', begin) + 1;
+  const std::size_t end = csv.find_first_of(",\n", begin);
+  return csv.substr(0, begin) + value + csv.substr(end);
+}
+
+class CorruptSweepCache : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    opt_ = tiny_sweep(true);
+    opt_.full_trace_instructions = 20000;
+    opt_.interval_instructions = 2000;
+    opt_.cache_dir = (std::filesystem::temp_directory_path() /
+                      "dsml_dse_corrupt_cache_test")
+                         .string();
+    std::filesystem::remove_all(opt_.cache_dir);
+    fresh_ = run_design_space_sweep("mcf", opt_);
+    for (const auto& entry :
+         std::filesystem::directory_iterator(opt_.cache_dir)) {
+      file_ = entry.path();  // the one table the sweep stored
+    }
+    good_ = read_text(file_);
+    ASSERT_FALSE(good_.empty());
+  }
+  void TearDown() override { std::filesystem::remove_all(opt_.cache_dir); }
+
+  /// Runs the sweep on a cache holding `text`: it must re-simulate the
+  /// fresh table, count one load failure, and rewrite the cache.
+  void expect_resimulated(const std::string& text, const std::string& what) {
+    write_text(file_, text);
+    const std::uint64_t failures0 = failures_.value();
+    const SweepResult sweep = run_design_space_sweep("mcf", opt_);
+    EXPECT_FALSE(sweep.from_cache) << what;
+    EXPECT_EQ(sweep.cycles, fresh_.cycles) << what;
+    EXPECT_EQ(sweep.simpoint_count, fresh_.simpoint_count) << what;
+    EXPECT_EQ(sweep.simulated_instructions, fresh_.simulated_instructions)
+        << what;
+    EXPECT_EQ(failures_.value() - failures0, 1u) << what;
+    EXPECT_EQ(read_text(file_), good_) << what;
+  }
+
+  SweepOptions opt_;
+  SweepResult fresh_;
+  std::filesystem::path file_;
+  std::string good_;
+  metrics::Counter& failures_ = metrics::counter("dse.cache_load_failures");
+};
+
+TEST_F(CorruptSweepCache, BadCellsAreResimulated) {
+  // Columns: config, cycles, simpoints, instructions.
+  const std::pair<std::string, std::string> cases[] = {
+      {"nan and negative cycles",
+       with_cell(with_cell(good_, 0, 1, "nan"), 1, 1, "-5")},
+      {"nan cycles", with_cell(good_, 0, 1, "nan")},
+      {"negative cycles", with_cell(good_, 1, 1, "-5")},
+      {"infinite cycles", with_cell(good_, 2, 1, "inf")},
+      {"fractional cycles", with_cell(good_, 3, 1, "1234.5")},
+      {"zero cycles", with_cell(good_, 4, 1, "0")},
+      {"non-numeric cycles", with_cell(good_, 5, 1, "fast")},
+      {"configs out of order", with_cell(good_, 6, 0, "7")},
+      {"negative simpoints", with_cell(good_, 0, 2, "-2")},
+      {"huge instructions", with_cell(good_, 0, 3, "1e30")},
+      {"rows disagree on simpoints", with_cell(good_, 9, 2, "99")},
+      {"rows disagree on instructions",
+       with_cell(good_, sim::kDesignSpaceSize - 1, 3, "1")},
+      {"truncated to half", good_.substr(0, good_.size() / 2)},
+      {"truncated inside the last row", good_.substr(0, good_.size() - 3)},
+  };
+  for (const auto& [what, text] : cases) {
+    ASSERT_NE(text, good_) << what;
+    expect_resimulated(text, what);
+  }
+}
+
+TEST_F(CorruptSweepCache, LoadFailpointIsResimulated) {
+  failpoint::ScopedFailpoints armed("dse.sweep.cache_load=nth:1");
+  expect_resimulated(good_, "dse.sweep.cache_load");
+}
+
+TEST_F(CorruptSweepCache, ShardSliceSkipsACorruptCache) {
+  write_text(file_, with_cell(good_, 0, 1, "nan"));
+  const std::uint64_t failures0 = failures_.value();
+  const std::vector<std::size_t> indices{0, 1, 4607};
+  const SweepShard shard = run_sweep_shard("mcf", opt_, indices);
+  EXPECT_EQ(failures_.value() - failures0, 1u);
+  ASSERT_EQ(shard.cycles.size(), indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    EXPECT_EQ(shard.cycles[i], fresh_.cycles[indices[i]]) << indices[i];
+  }
+  EXPECT_EQ(shard.simpoint_count, fresh_.simpoint_count);
 }
 
 TEST(Sweep, UnknownAppThrows) {

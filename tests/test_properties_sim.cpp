@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/core.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
@@ -230,6 +231,136 @@ TEST(FunctionalKey, PerfectPredictorIssueWrongTwinsAreIdentical) {
       twin.issue_wrong = true;
       expect_identical(simulate(c, trace), simulate(twin, trace),
                        std::string(app) + " " + c.key());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The batch against the one-config path. simulate_batch shares predictor,
+// TLB and L1 streams across a batch's groups and walks each L2 once per L3
+// pair; simulate() runs one FunctionalPass. Every batch must give every
+// configuration what simulate() gives it.
+
+/// Traces aimed at the shared streams' edges, cut from one gcc trace.
+std::vector<std::pair<std::string, Trace>> edge_traces() {
+  const Trace base =
+      workload::generate_trace(workload::spec_profile("gcc"), 3000, 5);
+  const auto without = [&](OpClass op) {
+    Trace t = base;
+    for (Instr& ins : t.instrs) {
+      if (ins.op == op) {
+        ins.op = OpClass::kIntAlu;
+        ins.taken = false;
+      }
+    }
+    return t;
+  };
+  // Every instruction on its own page of 16 MB of code: both ITLB reaches
+  // miss, and every fetch misses the L1I and the L2.
+  Trace wide_code = base;
+  for (std::size_t i = 0; i < wide_code.size(); ++i) {
+    wide_code.instrs[i].pc = 0x10000000 + (i * 7919 % 4096) * 4096;
+  }
+  // A load that reads its own fetch line meets its fetch in the L2 within
+  // one instruction, so their order sets which of the two misses.
+  Trace own_line = wide_code;
+  for (Instr& ins : own_line.instrs) {
+    if (ins.op == OpClass::kLoad) ins.mem_addr = ins.pc + 8;
+  }
+  Trace one;
+  for (const Instr& ins : base.instrs) {
+    if (ins.op == OpClass::kLoad) {
+      one.instrs.push_back(ins);
+      break;
+    }
+  }
+  return {{"no loads", without(OpClass::kLoad)},
+          {"no stores", without(OpClass::kStore)},
+          {"no branches", without(OpClass::kBranch)},
+          {"one instruction", one},
+          {"code beyond both ITLB reaches", wide_code},
+          {"loads in their own fetch line", own_line}};
+}
+
+/// 1 to 64 configurations drawn with replacement, so some repeat.
+std::vector<ProcessorConfig> random_batch(
+    Rng& rng, const std::vector<ProcessorConfig>& space) {
+  std::vector<ProcessorConfig> batch(1 + rng.below(64));
+  for (ProcessorConfig& c : batch) c = space[rng.below(space.size())];
+  return batch;
+}
+
+/// Batches whose groups' TLB slots differ from the batch's reach order.
+/// Each design-space key holds a small and a big core per width and
+/// issue_wrong, in that order, and its L3 twin sits 32 entries on.
+std::vector<std::vector<ProcessorConfig>> crafted_batches(
+    const std::vector<ProcessorConfig>& space) {
+  return {
+      // Small core first; a bimodal group of big cores only; a 2-level L3
+      // group without its L3-less partner; a repeat.
+      {space[0], space[9], space[13], space[48], space[9]},
+      // Big core first; a bimodal group of small cores only.
+      {space[1], space[8], space[12], space[8], space[2700]},
+      // Small core first; groups with both reaches, entered big core
+      // first, so their slots run opposite to the batch's.
+      {space[0], space[4607], space[4606], space[4605], space[4604]},
+  };
+}
+
+void expect_batch_matches_simulate(ThreadPool& pool,
+                                   const std::vector<ProcessorConfig>& batch,
+                                   const Trace& trace,
+                                   const std::string& context) {
+  const std::vector<SimResult> results = simulate_batch(pool, batch, trace);
+  ASSERT_EQ(results.size(), batch.size()) << context;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_identical(results[i], simulate(batch[i], trace),
+                     context + ", configuration " + std::to_string(i) + " " +
+                         batch[i].key());
+  }
+}
+
+TEST(BatchProperty, RandomSubsetsMatchSimulateOnRandomTraces) {
+  const std::vector<ProcessorConfig> space = enumerate_design_space();
+  constexpr const char* kApps[] = {"applu", "equake", "gcc", "mcf", "mesa"};
+  Rng rng(2024);
+  ThreadPool pool(3);
+  for (int t = 0; t < 5; ++t) {
+    const char* app = kApps[rng.below(5)];
+    const Trace trace = workload::generate_trace(
+        workload::spec_profile(app), 500 + rng.below(4000), rng.below(1000) + 1);
+    const std::string context = std::string(app) + " trace " +
+                                std::to_string(t);
+    for (int b = 0; b < 3; ++b) {
+      expect_batch_matches_simulate(pool, random_batch(rng, space), trace,
+                                    context + ", random batch " +
+                                        std::to_string(b));
+    }
+    const auto crafted = crafted_batches(space);
+    for (std::size_t b = 0; b < crafted.size(); ++b) {
+      expect_batch_matches_simulate(pool, crafted[b], trace,
+                                    context + ", crafted batch " +
+                                        std::to_string(b));
+    }
+  }
+}
+
+TEST(BatchProperty, RandomSubsetsMatchSimulateOnEdgeTraces) {
+  const std::vector<ProcessorConfig> space = enumerate_design_space();
+  Rng rng(77);
+  ThreadPool pool(3);
+  for (const auto& [name, trace] : edge_traces()) {
+    ASSERT_FALSE(trace.instrs.empty()) << name;
+    for (int b = 0; b < 2; ++b) {
+      expect_batch_matches_simulate(pool, random_batch(rng, space), trace,
+                                    name + ", random batch " +
+                                        std::to_string(b));
+    }
+    const auto crafted = crafted_batches(space);
+    for (std::size_t b = 0; b < crafted.size(); ++b) {
+      expect_batch_matches_simulate(pool, crafted[b], trace,
+                                    name + ", crafted batch " +
+                                        std::to_string(b));
     }
   }
 }
