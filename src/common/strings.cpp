@@ -81,4 +81,10 @@ std::string format_double(double v, int digits) {
   return buf;
 }
 
+std::string format_shortest(double v) {
+  char buf[32];  // the longest shortest form, -2.2250738585072014e-308, fits
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
+}
+
 }  // namespace dsml::strings

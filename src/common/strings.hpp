@@ -36,4 +36,9 @@ std::uint64_t parse_u64(std::string_view s);
 /// printf-style float formatting helper (fixed, `digits` decimals).
 std::string format_double(double v, int digits);
 
+/// The shortest text that parses back to exactly `v` (std::to_chars with no
+/// format or precision), so an integral value prints as an integer:
+/// 2869393, not the stream default's 2.86939e+06.
+std::string format_shortest(double v);
+
 }  // namespace dsml::strings

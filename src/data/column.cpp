@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <unordered_map>
+
+#include "common/strings.hpp"
 
 namespace dsml::data {
 
@@ -91,11 +92,7 @@ std::size_t Column::code_at(std::size_t i) const {
 
 std::string Column::label_at(std::size_t i) const {
   DSML_REQUIRE(i < size(), "Column::label_at: row out of range");
-  if (kind_ == ColumnKind::kNumeric) {
-    std::ostringstream os;
-    os << num_[i];
-    return os.str();
-  }
+  if (kind_ == ColumnKind::kNumeric) return strings::format_shortest(num_[i]);
   return levels_[codes_[i]];
 }
 

@@ -55,7 +55,8 @@ class Column {
   /// Level code of a categorical/flag entry.
   std::size_t code_at(std::size_t i) const;
 
-  /// String label of entry i (formats numerics).
+  /// String label of entry i; a numeric one in its shortest round-trip
+  /// form (strings::format_shortest).
   std::string label_at(std::size_t i) const;
 
   /// Categorical levels (empty for numeric columns).

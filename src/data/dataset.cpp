@@ -1,6 +1,6 @@
 #include "data/dataset.hpp"
 
-#include <sstream>
+#include "common/strings.hpp"
 
 namespace dsml::data {
 
@@ -100,11 +100,7 @@ csv::Table Dataset::to_csv() const {
     std::vector<std::string> row;
     row.reserve(table.header.size());
     for (const auto& col : features_) row.push_back(col.label_at(r));
-    if (target_) {
-      std::ostringstream os;
-      os << (*target_)[r];
-      row.push_back(os.str());
-    }
+    if (target_) row.push_back(strings::format_shortest((*target_)[r]));
     table.rows.push_back(std::move(row));
   }
   return table;

@@ -433,8 +433,9 @@ bool same_timing(ProcessorConfig a, const ProcessorConfig& b) {
 }
 
 /// Fewest distinct timings a four-lane pass takes. A four-lane pass costs
-/// two to two and a half one-lane passes however many lanes are in use,
-/// so three or four timings gain and one or two do not.
+/// 2.0 to 2.5 one-lane passes however many lanes are in use (on the CLI's
+/// mcf trace, docs/PERFORMANCE.md), so three or four timings gain and one
+/// or two do not.
 constexpr std::size_t kMinLanes = 3;
 
 /// One worker's share of simulate_batch's timing: it times whole functional

@@ -50,9 +50,32 @@ struct FourLanes {
              lane(ring[(pos - back[3]) & kRingMask][3])};
   }
 
+  /// claim_slot on every lane, with the same cycles and slot words. The
+  /// lanes' slots at `earliest` are tested for a full cycle in one vector
+  /// compare. When none is full, the common case, each lane claims its slot
+  /// at `earliest`, so the claimed cycles never leave the register; the
+  /// mask compare is claim_slot's `(slot >> kCountBits) == c` without a
+  /// shift of signed lanes. Otherwise every lane walks in claim_slot.
   static V claim(std::uint64_t (*slots)[kLimiterSlots][kLanes],
                  std::size_t limiter, V earliest,
                  const LaneTables<kLanes>& t) {
+    std::uint64_t(*const ring)[kLanes] = slots[limiter];
+    const V at = earliest & splat(kLimiterSlots - 1);
+    std::uint64_t& s0 = ring[cycle(at[0])][0];
+    std::uint64_t& s1 = ring[cycle(at[1])][1];
+    std::uint64_t& s2 = ring[cycle(at[2])][2];
+    std::uint64_t& s3 = ring[cycle(at[3])][3];
+    const V slot{lane(s0), lane(s1), lane(s2), lane(s3)};
+    const V named = earliest << kCountBits;
+    if (none(slot == (named | load(t.width)))) [[likely]] {
+      const V next =
+          select((slot & splat(~kCountMask)) == named, slot + 1, named | 1);
+      s0 = cycle(next[0]);
+      s1 = cycle(next[1]);
+      s2 = cycle(next[2]);
+      s3 = cycle(next[3]);
+      return earliest;
+    }
     return V{
         lane(claim_slot(slots, limiter, 0, cycle(earliest[0]), t.width[0])),
         lane(claim_slot(slots, limiter, 1, cycle(earliest[1]), t.width[1])),
@@ -61,6 +84,16 @@ struct FourLanes {
   }
 
  private:
+  typedef std::int64_t I64x2 __attribute__((vector_size(16)));
+
+  /// Whether no lane of `m` holds: the two halves OR-ed, then their two
+  /// lanes, and one branch on the result.
+  static bool none(M m) {
+    const I64x2 half = __builtin_shufflevector(m, m, 0, 1) |
+                       __builtin_shufflevector(m, m, 2, 3);
+    return (half[0] | half[1]) == 0;
+  }
+
   static std::int64_t lane(std::uint64_t x) {
     return static_cast<std::int64_t>(x);
   }

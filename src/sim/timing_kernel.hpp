@@ -18,9 +18,12 @@
 // lane shares (an outcome's fetch or load field, a dependency distance, the
 // current instruction's ring slot, an FU pool) is one vector load. Pools are
 // padded to kMaxUnits units with kNeverFree, which stays below 2^63 so that
-// signed 64-bit vector compares order it last. Two steps stay lane by lane:
-// the RUU and LSQ look-back (the lanes' window sizes differ, so their ring
-// slots do) and the dispatch and issue limiter claims (AVX2 has no scatter).
+// signed 64-bit vector compares order it last. Choices that follow an
+// outcome bit or a dependency distance are masks, not branches. Three steps
+// stay lane by lane: the RUU and LSQ look-back (the lanes' window sizes
+// differ, so their ring slots do), and a limiter claim's four slot loads
+// and stores (AVX2 has no scatter). The claim itself tests all four slots
+// in one vector compare, and walks lane by lane only when a cycle is full.
 //
 // Everything after the declarations has internal linkage, so the -mavx2 TU
 // and the baseline TU each compile their own copy of every function they
@@ -161,20 +164,34 @@ constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kCountBits) - 1;
 /// An all-ones slot names a cycle no claim reaches.
 constexpr std::uint64_t kNoCycle = ~std::uint64_t{0};
 
+/// All ones when `cond` holds, else 0, so `v & L::splat(all_ones_if(c))`
+/// keeps v or zeroes it without a branch.
+constexpr std::uint64_t all_ones_if(bool cond) {
+  return 0 - std::uint64_t{cond};
+}
+
 /// A bandwidth limit of `width` events per cycle without a full calendar:
 /// the slots of `limiter` and `lane` are a ring keyed by cycle number with
-/// lazy reset, and a probe takes one branch, taken unless the cycle is
-/// full. Returns the earliest cycle >= `earliest` with a free slot and
+/// lazy reset. Returns the earliest cycle >= `earliest` with a free slot and
 /// claims the slot.
+///
+/// A slot word that names cycle c holds the count claimed in c; a word that
+/// names an earlier or a later cycle is free for c and restarts at a count
+/// of 1. So the probe is one compare: the only full word for c is
+/// (c << kCountBits) | width. That rests on three invariants: a current
+/// slot's count stays in 1..width, width is in 1..kCountMask, and cycles
+/// stay below 2^56 - 1, so the shift keeps every bit and no cycle's full
+/// word is kNoCycle. The old probe, `stale | (count < width)`, tested two
+/// conditions, and GCC 12 split the `|` into two branches that followed
+/// the simulated machine's state.
 template <std::size_t N>
 std::uint64_t claim_slot(std::uint64_t (*slots)[kLimiterSlots][N],
                          std::size_t limiter, std::size_t lane,
                          std::uint64_t earliest, std::uint64_t width) {
   for (std::uint64_t c = earliest;; ++c) {
     std::uint64_t& slot = slots[limiter][c & (kLimiterSlots - 1)][lane];
-    const bool stale = (slot >> kCountBits) != c;
-    if (stale | ((slot & kCountMask) < width)) {
-      slot = stale ? (c << kCountBits) | 1 : slot + 1;
+    if (slot != ((c << kCountBits) | width)) {
+      slot = (slot >> kCountBits) == c ? slot + 1 : (c << kCountBits) | 1;
       return c;
     }
   }
@@ -243,8 +260,8 @@ template <class L>
 typename L::V producer_done(const std::uint64_t (*complete)[L::kLanes],
                             std::size_t i, std::uint32_t dep) {
   const bool tracked = (dep != 0) & (dep <= i) & (dep < kRing);
-  const typename L::V done = L::load(complete[(i - dep) & kRingMask]);
-  return tracked ? done : L::splat(0);
+  return L::load(complete[(i - dep) & kRingMask]) &
+         L::splat(all_ones_if(tracked));
 }
 
 template <std::size_t N>
@@ -271,8 +288,9 @@ void reset(LaneState<N>& s, const LaneTables<N>& t) {
 
 /// The timing kernel: runs `n` instructions of `trace` against their
 /// `outcomes` for every lane of L and writes each lane's total cycles to
-/// `cycles`. Data-dependent choices are selects rather than branches where
-/// the outcome mix makes a branch unpredictable.
+/// `cycles`. Choices that follow an outcome or a dependency distance are
+/// masks and selects, not branches: the outcome mix makes a branch
+/// unpredictable.
 template <class L>
 void time_lanes(const LaneTables<L::kLanes>& t, LaneState<L::kLanes>& s,
                 const Instr* trace, const Outcome* outcomes, std::size_t n,
@@ -298,8 +316,11 @@ void time_lanes(const LaneTables<L::kLanes>& t, LaneState<L::kLanes>& s,
 
     // ---------------- fetch ----------------
     fetch_ready = fetch_ready + L::load(t.fetch_stall[o & outcome::kFieldMask]);
+    // A new I$ line starts a group; otherwise the group goes on.
     fetched_in_group =
-        (o & outcome::kFetch) ? one : fetched_in_group + one;
+        (fetched_in_group &
+         L::splat(all_ones_if((o & outcome::kFetch) == 0))) +
+        one;
     const M group_full = L::gt(fetched_in_group, width);  // next cycle
     fetch_ready = fetch_ready + L::one_if(group_full);
     fetched_in_group = L::select(group_full, one, fetched_in_group);
@@ -310,7 +331,7 @@ void time_lanes(const LaneTables<L::kLanes>& t, LaneState<L::kLanes>& s,
         (ins.op == OpClass::kLoad) | (ins.op == OpClass::kStore);
     const V lsq_free = L::look_back(s.mem_commit, mem_ops, t.lsq);
     const V window_free = L::max(L::look_back(s.commit, i, t.ruu),
-                                 is_mem ? lsq_free : zero);
+                                 lsq_free & L::splat(all_ones_if(is_mem)));
     const V dispatch_time =
         L::claim(s.slots, kDispatch,
                  L::max(fetch_time + L::splat(t.decode), window_free), t);
@@ -331,13 +352,14 @@ void time_lanes(const LaneTables<L::kLanes>& t, LaneState<L::kLanes>& s,
     // ---------------- branch resolution ----------------
     // A mispredict refetches after it resolves; a correctly predicted taken
     // branch still ends the fetch group. Either way the functional pass
-    // marked the next instruction as a new fetch line.
-    const V redirect = (o & outcome::kMispredict)
-                           ? complete_time + L::load(t.mispredict_penalty)
-                           : fetch_time + one;
-    const bool redirects =
-        (o & (outcome::kMispredict | outcome::kTakenBranch)) != 0;
-    fetch_ready = L::max(fetch_ready, redirects ? redirect : zero);
+    // marked the next instruction as a new fetch line. It sets at most one
+    // of the two bits, so at most one term below is nonzero.
+    const V redirect =
+        ((complete_time + L::load(t.mispredict_penalty)) &
+         L::splat(all_ones_if((o & outcome::kMispredict) != 0))) |
+        ((fetch_time + one) &
+         L::splat(all_ones_if((o & outcome::kTakenBranch) != 0)));
+    fetch_ready = L::max(fetch_ready, redirect);
 
     // ---------------- commit ----------------
     V commit_time = L::max(complete_time + one, prev_commit);

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 
 namespace dsml::workload {
 
@@ -295,6 +297,9 @@ class TraceBuilder {
 
 sim::Trace generate_trace(const AppProfile& profile, std::size_t n,
                           std::uint64_t seed) {
+  static metrics::Counter& instructions =
+      metrics::counter("workload.trace_instructions");
+  trace::Span span("workload.generate_trace", "workload");
   DSML_REQUIRE(n > 0, "generate_trace: n must be positive");
   const std::size_t most = std::vector<sim::Instr>().max_size();
   if (n > most) {
@@ -303,7 +308,9 @@ sim::Trace generate_trace(const AppProfile& profile, std::size_t n,
                           std::to_string(most) + " instructions");
   }
   TraceBuilder builder(profile, seed == 0 ? profile.seed : seed);
-  return builder.build(n);
+  sim::Trace trace = builder.build(n);
+  instructions.add(n);
+  return trace;
 }
 
 }  // namespace dsml::workload

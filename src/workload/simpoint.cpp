@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/trace.hpp"
 
 namespace dsml::workload {
 
@@ -214,6 +215,7 @@ double k_means_bic(const std::vector<std::vector<double>>& points,
 SimPoints choose_simpoints(const sim::Trace& trace,
                            std::size_t interval_length,
                            std::size_t max_clusters, std::uint64_t seed) {
+  trace::Span span("workload.choose_simpoints", "workload");
   const BasicBlockVectors bbv = collect_bbv(trace, interval_length, 15, seed);
   DSML_REQUIRE(bbv.n_intervals() >= 1, "choose_simpoints: no intervals");
   Rng rng(seed);

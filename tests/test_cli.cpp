@@ -106,8 +106,14 @@ void write_design_csv(const std::string& path, std::size_t n) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cache_dir_ = (std::filesystem::temp_directory_path() / "dsml_cli_cache")
-                     .string();
+    // One directory per test: ctest runs the tests as parallel processes,
+    // and with one shared directory a test's TearDown could delete another
+    // test's cache between its two sweeps.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    cache_dir_ =
+        (std::filesystem::temp_directory_path() / ("dsml_cli_cache_" + test))
+            .string();
     ::setenv("DSML_CACHE_DIR", cache_dir_.c_str(), 1);
   }
   void TearDown() override {

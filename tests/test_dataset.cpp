@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
+
 namespace dsml::data {
 namespace {
 
@@ -86,6 +88,19 @@ TEST(Dataset, ToCsv) {
   ASSERT_EQ(t.rows.size(), 3u);
   EXPECT_EQ(t.rows[0][2], "amd");
   EXPECT_EQ(t.rows[0][1], "yes");
+
+  // Numbers are written at round-trip precision: a cycle count keeps every
+  // digit (the stream default of 6 wrote 2.86939e+06), and 0.1 reads back
+  // as the same double.
+  Dataset cycles;
+  cycles.add_feature(Column::numeric("rate", {0.1, 1.0 / 3.0}));
+  cycles.set_target("cycles", {2869393.0, 123456789012.0});
+  const csv::Table c = cycles.to_csv();
+  ASSERT_EQ(c.rows.size(), 2u);
+  EXPECT_EQ(c.rows[0][0], "0.1");
+  EXPECT_EQ(c.rows[0][1], "2869393");
+  EXPECT_EQ(c.rows[1][1], "123456789012");
+  EXPECT_EQ(strings::parse_double(c.rows[1][0]), 1.0 / 3.0);
 }
 
 TEST(Dataset, EmptyDatasetRowCount) {

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@ namespace dsml::sim {
 namespace {
 
 using detail::kLanes;
+using detail::kLimiterSlots;
 using detail::LaneState;
 
 void expect_same(const SimResult& lane, const SimResult& one,
@@ -377,6 +380,159 @@ TEST_F(TimingLanes, BatchTimesGroupsOfThreeOrMoreInLanes) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
       expect_same(batch[i], simulate(configs[i], trace),
                   std::to_string(k) + " timings, " + configs[i].key());
+    }
+  }
+}
+
+// claim_slot probes a limiter slot in one compare. It must claim the same
+// cycle and leave every slot word the same as the two-condition probe it
+// replaced, whatever cycle a probed slot names: the probed one, an earlier
+// one, a later one, or none.
+
+/// The two-condition limiter probe, kept as the reference.
+template <std::size_t N>
+std::uint64_t two_condition_claim(std::uint64_t (*slots)[kLimiterSlots][N],
+                                  std::size_t limiter, std::size_t lane,
+                                  std::uint64_t earliest,
+                                  std::uint64_t width) {
+  for (std::uint64_t c = earliest;; ++c) {
+    std::uint64_t& slot = slots[limiter][c & (kLimiterSlots - 1)][lane];
+    const bool stale = (slot >> detail::kCountBits) != c;
+    if (stale | ((slot & detail::kCountMask) < width)) {
+      slot = stale ? (c << detail::kCountBits) | 1 : slot + 1;
+      return c;
+    }
+  }
+}
+
+/// What the probes of a claim sequence found at their first slot.
+struct ProbeMix {
+  std::uint64_t earlier = 0;  ///< a slot naming an earlier cycle
+  std::uint64_t later = 0;    ///< a slot naming a later cycle
+  std::uint64_t full = 0;     ///< a full slot, so the claim walked on
+};
+
+/// Claims `claims` random cycles of random limiters and lanes of N-lane
+/// slots through claim_slot and through the reference, comparing each
+/// claimed cycle and, after each claim, every slot word. The probed cycle
+/// stays put (filling it), steps forward or back, or jumps by whole rings
+/// either way, so probes meet slots that name earlier and later cycles.
+template <std::size_t N>
+ProbeMix expect_claims_match(std::uint64_t width, std::uint64_t seed,
+                             int claims) {
+  auto ours = std::make_unique<LaneState<N>>();
+  auto reference = std::make_unique<LaneState<N>>();
+  std::fill_n(&ours->slots[0][0][0], 2 * kLimiterSlots * N, detail::kNoCycle);
+  std::fill_n(&reference->slots[0][0][0], 2 * kLimiterSlots * N,
+              detail::kNoCycle);
+  const std::string context = std::to_string(N) + " lanes, width " +
+                              std::to_string(width) + ", seed " +
+                              std::to_string(seed);
+  Rng rng(seed);
+  ProbeMix mix;
+  std::uint64_t earliest = 8 * kLimiterSlots;
+  int burst = 0;  // claims left at the current cycle
+  for (int k = 0; k < claims; ++k) {
+    if (burst > 0) {
+      --burst;
+    } else {
+      switch (rng.below(8)) {
+        case 0:
+        case 1:
+          break;  // the same cycle again
+        case 2:
+          earliest += 1 + rng.below(3);
+          break;
+        case 3:
+          earliest -= std::min(earliest, 1 + rng.below(8));
+          break;
+        case 4:
+          earliest += (1 + rng.below(3)) * kLimiterSlots + rng.below(3);
+          break;
+        case 5:
+          earliest -= std::min(
+              earliest, (1 + rng.below(3)) * kLimiterSlots - rng.below(3));
+          break;
+        case 6:
+          burst = static_cast<int>(width + rng.below(3));  // fill, then walk
+          break;
+        default:
+          earliest += rng.below(4 * kLimiterSlots);
+          break;
+      }
+    }
+    const std::size_t limiter = rng.below(2);
+    const std::size_t lane = rng.below(N);
+    const std::uint64_t probed =
+        reference->slots[limiter][earliest & (kLimiterSlots - 1)][lane];
+    if (probed != detail::kNoCycle) {
+      const std::uint64_t named = probed >> detail::kCountBits;
+      mix.earlier += named < earliest;
+      mix.later += named > earliest;
+      mix.full += named == earliest && (probed & detail::kCountMask) == width;
+    }
+
+    const std::uint64_t want = two_condition_claim(
+        reference->slots, limiter, lane, earliest, width);
+    const std::uint64_t got =
+        detail::claim_slot(ours->slots, limiter, lane, earliest, width);
+    if (got != want) {
+      ADD_FAILURE() << context << ", claim " << k << " at " << earliest
+                    << ": claimed " << got << ", want " << want;
+      return mix;
+    }
+    if (std::memcmp(ours->slots, reference->slots, sizeof ours->slots) != 0) {
+      const std::uint64_t* a = &ours->slots[0][0][0];
+      const std::uint64_t* b = &reference->slots[0][0][0];
+      const std::size_t w = static_cast<std::size_t>(
+          std::mismatch(a, a + 2 * kLimiterSlots * N, b).first - a);
+      ADD_FAILURE() << context << ", claim " << k << " at " << earliest
+                    << ": slot word " << w << " is " << a[w] << ", want "
+                    << b[w];
+      return mix;
+    }
+  }
+  return mix;
+}
+
+TEST(LimiterClaims, OneCompareProbeMatchesTheTwoConditionProbe) {
+  constexpr std::uint64_t kWidths[] = {1, 2, 4, 8, detail::kCountMask};
+  ProbeMix total;
+  std::uint64_t seed = 1;
+  for (const std::uint64_t width : kWidths) {
+    for (int run = 0; run < 2; ++run, ++seed) {
+      for (const ProbeMix& mix :
+           {expect_claims_match<1>(width, seed, 3000),
+            expect_claims_match<kLanes>(width, seed, 3000)}) {
+        if (HasFailure()) return;
+        total.earlier += mix.earlier;
+        total.later += mix.later;
+        total.full += mix.full;
+      }
+    }
+  }
+  // The sequences reach every kind of slot the probe has to tell apart.
+  EXPECT_GT(total.earlier, 1000u);
+  EXPECT_GT(total.later, 1000u);
+  EXPECT_GT(total.full, 1000u);
+}
+
+TEST(ProducerDone, ZeroWithoutATrackedProducer) {
+  // A distance of 0 (no producer) would read the instruction's own ring
+  // slot, which holds the completion of the instruction kRing before it.
+  // The RUU bound (256 < kRing) makes that earlier than dispatch, so no
+  // cycle count shows the mask slipping there; this checks it directly.
+  using One = detail::OneLane<4, 4>;
+  std::uint64_t complete[detail::kRing][1];
+  for (std::size_t r = 0; r < detail::kRing; ++r) complete[r][0] = 1000 + r;
+  constexpr std::uint32_t kDistances[] = {0, 1, 255, 511, 512, 0xffffffffu};
+  for (const std::size_t i : {0u, 1u, 300u, 511u, 512u, 5000u}) {
+    for (const std::uint32_t dep : kDistances) {
+      const bool tracked = dep != 0 && dep <= i && dep < detail::kRing;
+      const std::uint64_t want =
+          tracked ? complete[(i - dep) & detail::kRingMask][0] : 0;
+      EXPECT_EQ(detail::producer_done<One>(complete, i, dep), want)
+          << "instruction " << i << ", distance " << dep;
     }
   }
 }
