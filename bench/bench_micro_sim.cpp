@@ -1,14 +1,16 @@
 // Micro-benchmarks of the simulator substrate (google-benchmark): the
 // one-config simulate() path and its two passes apart (the functional pass
 // through caches, TLBs and predictor; the timing pass over its outcomes),
-// the four-lane timing pass a sweep's groups take, cache and predictor
+// the vector timing passes a sweep's L2 keys take, cache and predictor
 // lookup costs, and trace generation speed. The timing benchmarks count
 // configurations x instructions, so their items/s compare per
 // configuration.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sim/core.hpp"
@@ -72,42 +74,80 @@ void BM_TimingPass(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 
-// The distinct timings of the functional group of configuration `index`,
-// as a sweep times them: its width x core-size variants, four in all.
-std::vector<sim::ProcessorConfig> timing_group(std::size_t index) {
+// The distinct timings of the L2 key of configuration `index`, as a sweep
+// times them: the width x core-size variants of its L3-absent group, then
+// of its L3-present group, eight in all.
+std::vector<sim::ProcessorConfig> timing_unit(std::size_t index) {
   const auto space = sim::enumerate_design_space();
-  const sim::ProcessorConfig& head = space[index];
-  std::vector<sim::ProcessorConfig> group;
-  for (const sim::ProcessorConfig& c : space) {
-    if (c.functional_key() == head.functional_key() &&
-        c.issue_wrong == head.issue_wrong) {
-      group.push_back(c);
+  sim::FunctionalKey key = space[index].functional_key();
+  key.l3_size_mb = 0;
+  std::vector<sim::ProcessorConfig> unit;
+  for (const bool l3 : {false, true}) {
+    for (const sim::ProcessorConfig& c : space) {
+      sim::FunctionalKey k = c.functional_key();
+      const bool has_l3 = k.l3_size_mb > 0;
+      k.l3_size_mb = 0;
+      if (k == key && has_l3 == l3 &&
+          c.issue_wrong == space[index].issue_wrong) {
+        unit.push_back(c);
+      }
     }
   }
-  return group;
+  return unit;
 }
 
-void BM_TimingLanes(benchmark::State& state) {
-  if (!sim::detail::lanes_supported()) {
-    state.SkipWithError("no four-lane timing kernel on this host");
-    return;
-  }
+// One L2 key's eight timings against its L3-present group's stream, on the
+// widest kernel the host runs: one eight-lane pass, or two four-lane ones.
+template <std::size_t N>
+void time_unit(benchmark::State& state,
+               const std::vector<sim::ProcessorConfig>& unit) {
   const sim::Trace& trace = bench_trace();
-  const auto group = timing_group(static_cast<std::size_t>(state.range(0)));
+  const auto absent = std::span(unit).first(unit.size() / 2);
+  const auto present = std::span(unit).last(unit.size() / 2);
+  std::vector<sim::Outcome> own(trace.size());
   std::vector<sim::Outcome> outcomes(trace.size());
-  sim::FunctionalPass pass(group);
-  const sim::FunctionalStats stats = pass.run(trace.span(), outcomes);
-  auto lanes = std::make_unique<sim::detail::LaneState<sim::detail::kLanes>>();
-  std::vector<sim::SimResult> results(group.size());
+  const sim::FunctionalStats absent_stats =
+      sim::FunctionalPass(absent).run(trace.span(), own);
+  const sim::FunctionalStats stats =
+      sim::FunctionalPass(present).run(trace.span(), outcomes);
+  std::vector<sim::detail::Lane> lanes;
+  for (const sim::ProcessorConfig& c : absent) {
+    lanes.push_back({c, &absent_stats});
+  }
+  for (const sim::ProcessorConfig& c : present) lanes.push_back({c, &stats});
+  const sim::detail::OutcomeStream stream{outcomes, stats.itlb_reach_kb,
+                                          stats.dtlb_reach_kb};
+  auto lane_state = std::make_unique<sim::detail::LaneState<N>>();
+  std::vector<sim::SimResult> results(lanes.size());
   for (auto _ : state) {
-    sim::detail::run_timing_lanes(group, {}, trace.span(), outcomes, stats,
-                                  *lanes, results);
+    for (std::size_t next = 0; next < lanes.size(); next += N) {
+      const std::size_t count = std::min(N, lanes.size() - next);
+      sim::detail::run_timing_lanes<N>(
+          std::span(lanes).subspan(next, count), {}, trace.span(), stream,
+          *lane_state, std::span(results).subspan(next, count));
+    }
     benchmark::DoNotOptimize(results.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(group.size()) *
+                          static_cast<std::int64_t>(lanes.size()) *
                           static_cast<std::int64_t>(trace.size()));
+  state.SetLabel(std::to_string(N) + " lanes");
+}
+
+void BM_TimingLanes(benchmark::State& state) {
+  const auto unit = timing_unit(static_cast<std::size_t>(state.range(0)));
+  switch (sim::detail::lane_width()) {
+    case 8:
+      time_unit<8>(state, unit);
+      break;
+    case 4:
+      time_unit<4>(state, unit);
+      break;
+    default:
+      state.SkipWithError("no vector timing kernel on this host");
+      break;
+  }
 }
 
 void BM_CacheAccess(benchmark::State& state) {

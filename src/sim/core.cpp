@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
@@ -184,9 +186,10 @@ FunctionalStats FunctionalPass::run(std::span<const Instr> trace,
 
 namespace {
 
-using detail::kLanes;
+using detail::Lane;
 using detail::LaneState;
 using detail::LaneTables;
+using detail::OutcomeStream;
 
 std::size_t reach_slot(const std::array<int, 2>& reaches, int reach_kb) {
   for (std::size_t s = 0; s < reaches.size(); ++s) {
@@ -196,28 +199,43 @@ std::size_t reach_slot(const std::array<int, 2>& reaches, int reach_kb) {
       "run_timing_pass: the functional pass did not model this TLB reach");
 }
 
-/// Where a configuration's TLB reaches sit in its functional pass.
+/// Where a configuration's TLB reaches sit among a stream's or a group's.
 struct ReachSlots {
   std::size_t itlb = 0;
   std::size_t dtlb = 0;
 };
 
 ReachSlots reach_slots(const ProcessorConfig& c,
-                       const FunctionalStats& functional) {
-  return {reach_slot(functional.itlb_reach_kb, c.itlb_size_kb),
-          reach_slot(functional.dtlb_reach_kb, c.dtlb_size_kb)};
+                       const std::array<int, 2>& itlb_reach_kb,
+                       const std::array<int, 2>& dtlb_reach_kb) {
+  return {reach_slot(itlb_reach_kb, c.itlb_size_kb),
+          reach_slot(dtlb_reach_kb, c.dtlb_size_kb)};
 }
 
-/// Writes configuration `c` into lane `lane` of `t`, and the latency
-/// model into the entries every lane shares.
+ReachSlots stream_slots(const ProcessorConfig& c, const OutcomeStream& s) {
+  return reach_slots(c, s.itlb_reach_kb, s.dtlb_reach_kb);
+}
+
+ReachSlots group_slots(const ProcessorConfig& c, const FunctionalStats& g) {
+  return reach_slots(c, g.itlb_reach_kb, g.dtlb_reach_kb);
+}
+
+/// Writes configuration `c` into lane `lane` of `t`, reading TLB misses at
+/// `slots` of the stream, and the latency model into the entries every
+/// lane shares.
 template <std::size_t N>
 void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
                const LatencyModel& lat, ReachSlots slots) {
   const int l1 = c.l1d_size_kb >= 64 ? lat.l1d_hit_large : lat.l1d_hit;
   const int l2 = c.l2_size_kb >= 1024 ? lat.l2_hit_large : lat.l2_hit;
   const int l3 = c.has_l3() ? lat.l3_hit : 0;
-  // Latency past the L1 by the level that served the access.
-  const std::array<int, 4> beyond_l1{0, l2, l2 + l3, l2 + l3 + lat.memory};
+  const int memory = l2 + l3 + lat.memory;
+  // Latency past the L1 by the level that served the access. Without an L3
+  // an L2 miss is memory, and the configuration's own stream never holds
+  // level 2; its L3 twin's stream, which simulate_batch times it against,
+  // holds level 2 for an L2 miss the L3 served, so that is memory too.
+  const std::array<int, 4> beyond_l1{0, l2, c.has_l3() ? l2 + l3 : memory,
+                                     memory};
 
   for (unsigned f = 0; f < detail::kFieldValues; ++f) {
     int stall = 0;
@@ -268,7 +286,8 @@ void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
   t.decode = static_cast<std::uint64_t>(lat.decode_pipeline);
 }
 
-/// A configuration's result from its cycle count and its functional pass.
+/// A configuration's result from its cycle count and its group's
+/// counters, read at the configuration's reach `slots` in the group.
 SimResult timing_result(std::uint64_t cycles, std::size_t instructions,
                         const FunctionalStats& functional, ReachSlots slots) {
   SimResult result;
@@ -314,24 +333,22 @@ std::uint64_t time_one_lane(const LaneTables<1>& t,
   return cycles;
 }
 
-}  // namespace
-
-SimResult run_timing_pass(const ProcessorConfig& config,
-                          const LatencyModel& latency,
-                          std::span<const Instr> trace,
-                          std::span<const Outcome> outcomes,
-                          const FunctionalStats& functional) {
-  require_outcomes(trace, outcomes);
+/// Times one lane against `stream` through the one-lane kernel.
+SimResult time_one(const Lane& lane, const LatencyModel& latency,
+                   std::span<const Instr> trace, const OutcomeStream& stream) {
+  const ProcessorConfig& config = lane.config;
+  require_outcomes(trace, stream.outcomes);
   config.validate();
   static metrics::Counter& passes = metrics::counter("sim.timing_passes");
   passes.add();
 
-  const ReachSlots slots = reach_slots(config, functional);
+  const ReachSlots in_group = group_slots(config, *lane.group);
   LaneTables<1> t{};
-  fill_lane(t, 0, config, latency, slots);
+  fill_lane(t, 0, config, latency, stream_slots(config, stream));
   const FunctionalUnitMix& fu = config.fu;
   const bool wide_pools =
       std::max({fu.ialu, fu.imult, fu.memport, fu.fpalu, fu.fpmult}) > 4;
+  const std::span<const Outcome> outcomes = stream.outcomes;
   std::uint64_t cycles = 0;
   if (config.width == 4) {
     cycles = wide_pools ? time_one_lane<4, 8>(t, trace, outcomes)
@@ -340,62 +357,112 @@ SimResult run_timing_pass(const ProcessorConfig& config,
     cycles = wide_pools ? time_one_lane<8, 8>(t, trace, outcomes)
                         : time_one_lane<8, 4>(t, trace, outcomes);
   }
-  return timing_result(cycles, trace.size(), functional, slots);
+  return timing_result(cycles, trace.size(), *lane.group, in_group);
 }
 
-bool detail::lanes_supported() noexcept {
-#if defined(DSML_SIM_HAVE_AVX2) && defined(__GNUC__) && \
-    (defined(__x86_64__) || defined(__i386__))
-  // cpuid never changes while the process runs, so detect once.
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported;
+// The vector kernels this build carries (src/sim/CMakeLists.txt compiles a
+// lane TU when the compiler takes its flag).
+#if defined(DSML_SIM_HAVE_AVX2)
+constexpr bool kHaveFourLanes = true;
+#else
+constexpr bool kHaveFourLanes = false;
+#endif
+#if defined(DSML_SIM_HAVE_AVX512)
+constexpr bool kHaveEightLanes = true;
+#else
+constexpr bool kHaveEightLanes = false;
+#endif
+
+}  // namespace
+
+SimResult run_timing_pass(const ProcessorConfig& config,
+                          const LatencyModel& latency,
+                          std::span<const Instr> trace,
+                          std::span<const Outcome> outcomes,
+                          const FunctionalStats& functional) {
+  return time_one({config, &functional}, latency, trace,
+                  {outcomes, functional.itlb_reach_kb,
+                   functional.dtlb_reach_kb});
+}
+
+bool detail::lanes_supported(std::size_t n) noexcept {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  // cpuid never changes while the process runs, so detect once. AVX-512F
+  // is all the eight-lane TU is compiled for, and GCC's check includes the
+  // OS saving the 512-bit state.
+  static const bool four = kHaveFourLanes && __builtin_cpu_supports("avx2");
+  static const bool eight =
+      kHaveEightLanes && __builtin_cpu_supports("avx512f");
+  return (n == 4 && four) || (n == 8 && eight);
 #else
   return false;
 #endif
 }
 
-void detail::run_timing_lanes(std::span<const ProcessorConfig> lanes,
+std::size_t detail::lane_width() noexcept {
+  return lanes_supported(8) ? 8 : lanes_supported(4) ? 4 : 1;
+}
+
+template <std::size_t N>
+void detail::run_timing_lanes(std::span<const Lane> lanes,
                               const LatencyModel& latency,
                               std::span<const Instr> trace,
-                              std::span<const Outcome> outcomes,
-                              const FunctionalStats& functional,
-                              LaneState<kLanes>& state,
+                              const OutcomeStream& stream,
+                              LaneState<N>& state,
                               std::span<SimResult> results) {
-  require_outcomes(trace, outcomes);
-  DSML_REQUIRE(!lanes.empty() && lanes.size() <= kLanes,
-               "run_timing_lanes: expected 1 to 4 configurations");
+  require_outcomes(trace, stream.outcomes);
+  DSML_REQUIRE(!lanes.empty() && lanes.size() <= N,
+               "run_timing_lanes: expected 1 to " + std::to_string(N) +
+                   " configurations");
   DSML_REQUIRE(results.size() == lanes.size(),
                "run_timing_lanes: results and configurations differ in size");
-  if (!lanes_supported()) {
-    throw StateError("run_timing_lanes: no four-lane kernel on this host");
+  if (!lanes_supported(N)) {
+    throw StateError("run_timing_lanes: no " + std::to_string(N) +
+                     "-lane kernel on this host");
   }
   static metrics::Counter& passes = metrics::counter("sim.timing_passes");
   static metrics::Counter& lane_passes = metrics::counter("sim.lane_passes");
 
-  std::array<ReachSlots, kLanes> slots{};
+  std::array<ReachSlots, N> in_stream{};
+  std::array<ReachSlots, N> in_group{};
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    lanes[l].validate();
-    slots[l] = reach_slots(lanes[l], functional);
+    lanes[l].config.validate();
+    in_stream[l] = stream_slots(lanes[l].config, stream);
+    in_group[l] = group_slots(lanes[l].config, *lanes[l].group);
   }
   // Lanes past the last configuration repeat it; their cycles are dropped.
-  LaneTables<kLanes> t{};
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  LaneTables<N> t{};
+  for (std::size_t l = 0; l < N; ++l) {
     const std::size_t c = std::min(l, lanes.size() - 1);
-    fill_lane(t, l, lanes[c], latency, slots[c]);
+    fill_lane(t, l, lanes[c].config, latency, in_stream[c]);
   }
-  std::uint64_t cycles[kLanes] = {};
-#if defined(DSML_SIM_HAVE_AVX2)
-  time_four_lanes(t, state, trace.data(), outcomes.data(), trace.size(),
-                  cycles);
-#else
-  (void)state;  // unreachable: lanes_supported() is false
-#endif
+  std::uint64_t cycles[N] = {};
+  // Only the kernels this build carries are named; lanes_supported(N) is
+  // false for the others, so they never get here.
+  if constexpr ((N == 4 && kHaveFourLanes) || (N == 8 && kHaveEightLanes)) {
+    time_vector_lanes(t, state, trace.data(), stream.outcomes.data(),
+                      trace.size(), cycles);
+  }
   lane_passes.add();
   passes.add(lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
-    results[l] = timing_result(cycles[l], trace.size(), functional, slots[l]);
+    results[l] =
+        timing_result(cycles[l], trace.size(), *lanes[l].group, in_group[l]);
   }
 }
+
+template void detail::run_timing_lanes<4>(std::span<const Lane>,
+                                          const LatencyModel&,
+                                          std::span<const Instr>,
+                                          const OutcomeStream&,
+                                          LaneState<4>&,
+                                          std::span<SimResult>);
+template void detail::run_timing_lanes<8>(std::span<const Lane>,
+                                          const LatencyModel&,
+                                          std::span<const Instr>,
+                                          const OutcomeStream&,
+                                          LaneState<8>&,
+                                          std::span<SimResult>);
 
 // ---------------------------------------------------------------------------
 // One configuration, and the batch
@@ -432,62 +499,96 @@ bool same_timing(ProcessorConfig a, const ProcessorConfig& b) {
   return a == b;
 }
 
-/// Fewest distinct timings a four-lane pass takes. A four-lane pass costs
-/// 2.0 to 2.5 one-lane passes however many lanes are in use (on the CLI's
-/// mcf trace, docs/PERFORMANCE.md), so three or four timings gain and one
-/// or two do not.
+/// Fewest distinct timings a vector pass takes. On the CLI's mcf trace a
+/// four-lane pass costs about 1.9 to 2.6 one-lane passes, and an eight-lane
+/// pass about 2.2 to 2.9, however many of their lanes are in use
+/// (docs/PERFORMANCE.md), so three or more timings gain and one or two do
+/// not.
 constexpr std::size_t kMinLanes = 3;
 
-/// One worker's share of simulate_batch's timing: it times whole functional
-/// groups, and owns the lane state once a group needs it.
-class GroupTimer {
+/// One worker's share of simulate_batch's timing: it times whole units,
+/// every configuration of an L2 key against the unit's one stream, and owns
+/// the lane state once a unit needs it.
+class UnitTimer {
  public:
-  GroupTimer(std::span<const ProcessorConfig> configs, const Trace& trace,
-             std::span<SimResult> results)
-      : configs_(configs), trace_(trace), results_(results) {}
+  UnitTimer(std::span<const ProcessorConfig> configs, const Trace& trace,
+            std::size_t width, std::span<SimResult> results)
+      : configs_(configs), trace_(trace), width_(width), results_(results) {}
 
-  void time(std::span<const std::size_t> group,
-            std::span<const Outcome> outcomes, const FunctionalStats& stats) {
-    // The group's distinct timings in member order; a twin takes the result
-    // of the first member it cannot be told apart from.
+  void time(const OutcomeStream& stream,
+            std::span<const detail::UnitWalker::GroupView> groups) {
+    // The unit's distinct timings, group by group in member order; a twin
+    // takes the result of the first member of its group it cannot be told
+    // apart from.
     distinct_.clear();
     timing_of_.clear();
-    for (const std::size_t idx : group) {
-      const ProcessorConfig& c = configs_[idx];
-      std::size_t d = 0;
-      while (d < distinct_.size() && !same_timing(distinct_[d], c)) ++d;
-      if (d == distinct_.size()) distinct_.push_back(c);
-      timing_of_.push_back(d);
+    for (const detail::UnitWalker::GroupView& g : groups) {
+      const std::size_t first = distinct_.size();
+      for (const std::size_t idx : g.members) {
+        const ProcessorConfig& c = configs_[idx];
+        std::size_t d = first;
+        while (d < distinct_.size() && !same_timing(distinct_[d].config, c)) {
+          ++d;
+        }
+        if (d == distinct_.size()) distinct_.push_back({c, &g.stats});
+        timing_of_.push_back(d);
+      }
     }
 
     timed_.resize(distinct_.size());
     std::size_t next = 0;
-    if (distinct_.size() >= kMinLanes && detail::lanes_supported()) {
-      if (!lanes_) lanes_ = std::make_unique<LaneState<kLanes>>();
-      while (distinct_.size() - next >= kMinLanes) {
-        const std::size_t count = std::min(kLanes, distinct_.size() - next);
-        detail::run_timing_lanes(
-            std::span(distinct_).subspan(next, count), LatencyModel{},
-            trace_.span(), outcomes, stats, *lanes_,
-            std::span(timed_).subspan(next, count));
-        next += count;
-      }
-    }
+    if (width_ == 8) next = time_vector<8>(stream);
+    if (width_ == 4) next = time_vector<4>(stream);
     for (; next < distinct_.size(); ++next) {
-      timed_[next] = run_timing_pass(distinct_[next], LatencyModel{},
-                                     trace_.span(), outcomes, stats);
+      timed_[next] =
+          time_one(distinct_[next], LatencyModel{}, trace_.span(), stream);
     }
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      results_[group[m]] = timed_[timing_of_[m]];
+    std::size_t m = 0;
+    for (const detail::UnitWalker::GroupView& g : groups) {
+      for (const std::size_t idx : g.members) {
+        results_[idx] = timed_[timing_of_[m++]];
+      }
     }
   }
 
  private:
+  /// N-lane passes while at least kMinLanes distinct timings remain;
+  /// returns how many it timed.
+  template <std::size_t N>
+  std::size_t time_vector(const OutcomeStream& stream) {
+    std::size_t next = 0;
+    while (distinct_.size() - next >= kMinLanes) {
+      const std::size_t count = std::min(N, distinct_.size() - next);
+      detail::run_timing_lanes<N>(std::span(distinct_).subspan(next, count),
+                                  LatencyModel{}, trace_.span(), stream,
+                                  lane_state<N>(),
+                                  std::span(timed_).subspan(next, count));
+      next += count;
+    }
+    return next;
+  }
+
+  /// The worker's N-lane state (227 KB at eight lanes), mapped from the OS
+  /// on first use as MappedWords maps a batch's streams, and unmapped with
+  /// the timer. Held on the heap, the states stayed resident after the
+  /// batch, beneath the next sweep's trace, and raised peak RSS.
+  template <std::size_t N>
+  LaneState<N>& lane_state() {
+    if (!lane_words_) {
+      lane_words_.emplace(sizeof(LaneState<N>) / sizeof(std::uint64_t));
+      lane_state_ = std::construct_at(
+          reinterpret_cast<LaneState<N>*>(lane_words_->words().data()));
+    }
+    return *static_cast<LaneState<N>*>(lane_state_);
+  }
+
   std::span<const ProcessorConfig> configs_;
   const Trace& trace_;
+  std::size_t width_;  ///< lane_width(), fixed for the batch
   std::span<SimResult> results_;
-  std::unique_ptr<LaneState<kLanes>> lanes_;
-  std::vector<ProcessorConfig> distinct_;
+  std::optional<detail::MappedWords> lane_words_;
+  void* lane_state_ = nullptr;          ///< a LaneState<width_> in lane_words_
+  std::vector<Lane> distinct_;          ///< with each timing's group counters
   std::vector<std::size_t> timing_of_;  ///< per member, its distinct_ index
   std::vector<SimResult> timed_;        ///< per distinct timing
 };
@@ -499,11 +600,14 @@ std::vector<SimResult> simulate_batch(ThreadPool& pool,
                                       const Trace& trace) {
   DSML_REQUIRE(!trace.instrs.empty(), "simulate_batch: empty trace");
   static metrics::Counter& instructions = metrics::counter("sim.instructions");
+  static metrics::Gauge& lane_width = metrics::gauge("sim.lane_width");
   trace::Span batch_span("sim.simulate_batch", "sim");
   const detail::FunctionalStreams streams = [&] {
     trace::Span streams_span("sim.functional_streams", "sim");
     return detail::FunctionalStreams(pool, configs, trace.span());
   }();
+  const std::size_t width = detail::lane_width();
+  lane_width.set(static_cast<double>(width));
 
   // Each worker claims one unit (L2 key) at a time, so a worker's caches
   // and buffers serve every unit it walks.
@@ -513,16 +617,15 @@ std::vector<SimResult> simulate_batch(ThreadPool& pool,
       pool, 0, std::min(pool.size(), streams.units()),
       [&](std::size_t) {
         detail::UnitWalker walker(streams);
-        GroupTimer timer(configs, trace, results);
-        const detail::UnitWalker::Visit time_group =
-            [&timer](std::span<const std::size_t> group,
-                     std::span<const Outcome> outcomes,
-                     const FunctionalStats& stats) {
-              timer.time(group, outcomes, stats);
+        UnitTimer timer(configs, trace, width, results);
+        const detail::UnitWalker::Visit time_unit =
+            [&timer](const OutcomeStream& stream,
+                     std::span<const detail::UnitWalker::GroupView> groups) {
+              timer.time(stream, groups);
             };
         for (std::size_t u = next_unit.fetch_add(1); u < streams.units();
              u = next_unit.fetch_add(1)) {
-          walker.walk(u, time_group);
+          walker.walk(u, time_unit);
         }
       },
       /*grain=*/1);

@@ -29,18 +29,20 @@
 // pass* turns those outcomes into latencies through the LatencyModel and
 // runs the width/RUU/LSQ/FU model. Configurations with one FunctionalKey
 // share one Outcome stream. FunctionalPass computes it for one group, as
-// simulate() does; simulate_batch builds every group's stream from state it
-// shares across groups (sim/functional_streams.hpp): each TLB reach,
-// predictor and L1 is walked once per batch, and each L2 once for a group
-// and its L3 twin.
+// simulate() does. simulate_batch builds one stream per L2 key (the key
+// without its L3) from state it shares across the batch
+// (sim/functional_streams.hpp): each TLB reach, predictor and L1 is walked
+// once per batch, and each L2 once for the key's two groups, which are
+// both timed against the L3-present group's stream.
 //
 // The timing kernel is one template over lanes (sim/timing_kernel.hpp). Its
 // one-lane instantiation times a single configuration: run_timing_pass,
-// simulate(), and every host without AVX2. Its four-lane instantiation,
-// compiled with -mavx2 and chosen by cpuid, times up to four configurations
-// of one group in one walk of the outcomes, one per 64-bit vector lane;
-// simulate_batch uses it for groups with three or more distinct timings.
-// Both give bit-identical results.
+// simulate(), and every host without AVX2. Its vector instantiations time
+// up to eight configurations of one L2 key in one walk of the outcomes, one
+// per 64-bit vector lane: eight lanes of 512 bits with AVX-512F, four of
+// 256 bits with AVX2, whichever is the widest the host's cpuid reports.
+// simulate_batch uses them for L2 keys with three or more distinct
+// timings. Every instantiation gives bit-identical results.
 #pragma once
 
 #include <array>
@@ -191,15 +193,17 @@ SimResult simulate(const ProcessorConfig& config, const Trace& trace);
 /// Simulate every configuration against one trace, cold, index-aligned
 /// with `configs` and bit-identical to simulate() on each. Throws
 /// InvalidArgument before simulating anything when a configuration is
-/// invalid. Configurations are grouped by FunctionalKey. The batch first
-/// walks every DTLB reach, predictor kind, fetch-line stream and L1 its
-/// groups need once (sim.l1_passes counts the L1D and L1I walks); then each
-/// worker of `pool` claims one L2 key at a time, walks its L2 and L3 once
-/// (sim.l2_passes) and composes the Outcome stream of each group under it
-/// (sim.functional_passes). A group's distinct timings (perfect-predictor
-/// issue_wrong twins share one) are timed four to a four-lane pass while at
-/// least three remain, then one at a time; without AVX2 every timing takes
-/// a one-lane pass. Counts sim.timing_passes (configurations timed),
+/// invalid. Configurations are grouped by FunctionalKey, and groups by L2
+/// key. The batch first walks every DTLB reach, predictor kind, fetch-line
+/// stream and L1 its groups need once (sim.l1_passes counts the L1D and
+/// L1I walks); then each worker of `pool` claims one L2 key at a time,
+/// walks its L2 and L3 once (sim.l2_passes) and composes one Outcome
+/// stream for the key's groups (sim.functional_passes). The key's distinct
+/// timings (perfect-predictor issue_wrong twins share one) are timed on
+/// the widest vector kernel the host runs, eight or four to a pass, while
+/// at least three remain, then one at a time; without AVX2 every timing
+/// takes a one-lane pass. Sets the gauge sim.lane_width to the kernel's
+/// width (8, 4 or 1). Counts sim.timing_passes (configurations timed),
 /// sim.lane_passes and sim.instructions (trace length x configurations),
 /// inside a sim.simulate_batch span whose sim.functional_streams child
 /// covers the shared walks.

@@ -480,53 +480,62 @@ void UnitWalker::walk(std::size_t u, const Visit& visit) {
   l3_miss_rate_ = has_l3 ? l3_->miss_rate() : 0.0;
   l2_passes.add();
 
+  std::array<GroupView, 2> groups;
+  std::size_t count = 0;
   for (const std::optional<std::size_t>& g : unit.groups) {
     if (!g) continue;
     const FunctionalStreams::Group& group = s_.groups_[*g];
-    const FunctionalStats stats = compose(group, unit);
-    functional_passes.add();
-    visit(group.members, outcomes_, stats);
+    groups[count++] = {group.members, stats(group, unit)};
   }
+  compose(s_.groups_[*unit.groups[has_l3 ? 1 : 0]].key, unit);
+  functional_passes.add();
+  visit({outcomes_, s_.itlb_reach_kb_, s_.dtlb_reach_kb_},
+        std::span(groups).first(count));
 }
 
-FunctionalStats UnitWalker::compose(const FunctionalStreams::Group& g,
-                                    const FunctionalStreams::Unit& unit) {
-  const bool has_l3 = g.key.l3_size_mb > 0;
+FunctionalStats UnitWalker::stats(const FunctionalStreams::Group& g,
+                                  const FunctionalStreams::Unit& unit) const {
   const FunctionalStreams::FetchStream& fetch = s_.fetch_[fetch_index(g.key)];
   const FunctionalStreams::BranchStream& branch =
       s_.branch_[predictor_index(g.key.branch_predictor)];
+  FunctionalStats stats;
+  stats.branch_count = branch.branches;
+  stats.mispredicts = branch.mispredicts;
+  stats.l1d_miss_rate = s_.l1d_[unit.l1d].miss_rate;
+  stats.l1i_miss_rate = s_.l1i_[unit.l1i].miss_rate;
+  stats.l2_miss_rate = l2_miss_rate_;
+  stats.l3_miss_rate = g.key.l3_size_mb > 0 ? l3_miss_rate_ : 0.0;
+  stats.itlb_reach_kb = g.itlb_reach_kb;
+  stats.dtlb_reach_kb = g.dtlb_reach_kb;
+  // The group's TLB slots, which need not follow the batch's reach order.
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    if (g.itlb_reach_kb[slot] != 0) {
+      stats.itlb_miss_rate[slot] =
+          fetch.itlb[find_reach(s_.itlb_reach_kb_, g.itlb_reach_kb[slot])]
+              .miss_rate;
+    }
+    if (g.dtlb_reach_kb[slot] != 0) {
+      stats.dtlb_miss_rate[slot] =
+          s_.dtlb_[find_reach(s_.dtlb_reach_kb_, g.dtlb_reach_kb[slot])]
+              .miss_rate;
+    }
+  }
+  return stats;
+}
+
+void UnitWalker::compose(const FunctionalKey& key,
+                         const FunctionalStreams::Unit& unit) {
+  const bool has_l3 = key.l3_size_mb > 0;
+  const FunctionalStreams::FetchStream& fetch = s_.fetch_[fetch_index(key)];
+  const FunctionalStreams::BranchStream& branch =
+      s_.branch_[predictor_index(key.branch_predictor)];
   const FunctionalStreams::MissStream& l1i = s_.l1i_[unit.l1i];
   const FunctionalStreams::MissStream& l1d = s_.l1d_[unit.l1d];
   // Without an L3 every L2 miss goes to memory.
   const ConstBitmap l3_fetch_miss = has_l3 ? l3_fetch_miss_ : l2_fetch_miss_;
   const ConstBitmap l3_data_miss = has_l3 ? l3_data_miss_ : l2_data_miss_;
-
-  FunctionalStats stats;
-  stats.branch_count = branch.branches;
-  stats.mispredicts = branch.mispredicts;
-  stats.l1d_miss_rate = l1d.miss_rate;
-  stats.l1i_miss_rate = l1i.miss_rate;
-  stats.l2_miss_rate = l2_miss_rate_;
-  stats.l3_miss_rate = has_l3 ? l3_miss_rate_ : 0.0;
-  stats.itlb_reach_kb = g.itlb_reach_kb;
-  stats.dtlb_reach_kb = g.dtlb_reach_kb;
-  // The group's TLB slots, which need not follow the batch's reach order.
-  std::array<ConstBitmap, 2> itlb_miss{};  ///< empty for an unused slot
-  std::array<ConstBitmap, 2> dtlb_miss{};
-  for (std::size_t slot = 0; slot < 2; ++slot) {
-    if (g.itlb_reach_kb[slot] != 0) {
-      const MissStream& itlb =
-          fetch.itlb[find_reach(s_.itlb_reach_kb_, g.itlb_reach_kb[slot])];
-      itlb_miss[slot] = itlb.miss;
-      stats.itlb_miss_rate[slot] = itlb.miss_rate;
-    }
-    if (g.dtlb_reach_kb[slot] != 0) {
-      const MissStream& dtlb =
-          s_.dtlb_[find_reach(s_.dtlb_reach_kb_, g.dtlb_reach_kb[slot])];
-      dtlb_miss[slot] = dtlb.miss;
-      stats.dtlb_miss_rate[slot] = dtlb.miss_rate;
-    }
-  }
+  // TLB bits at the batch's reach indices: an ITLB stream is empty where
+  // no group under this fetch stream has that reach, and reads as no miss.
   const auto word = [](ConstBitmap bits, std::size_t w) {
     return bits.empty() ? std::uint64_t{0} : bits[w];
   };
@@ -542,8 +551,8 @@ FunctionalStats UnitWalker::compose(const FunctionalStreams::Group& g,
       const std::uint64_t lo =
           l1i.miss[w] ^ l2_fetch_miss_[w] ^ l3_fetch_miss[w];
       const std::uint64_t hi = l2_fetch_miss_[w];
-      const std::uint64_t tlb0 = word(itlb_miss[0], w);
-      const std::uint64_t tlb1 = word(itlb_miss[1], w);
+      const std::uint64_t tlb0 = word(fetch.itlb[0].miss, w);
+      const std::uint64_t tlb1 = word(fetch.itlb[1].miss, w);
       for (std::uint64_t m = fetches; m != 0; m &= m - 1) {
         const int b = std::countr_zero(m);
         o[b] = static_cast<Outcome>(
@@ -556,8 +565,8 @@ FunctionalStats UnitWalker::compose(const FunctionalStreams::Group& g,
     if (const std::uint64_t loads = s_.loads_[w]; loads != 0) {
       const std::uint64_t lo = l1d.miss[w] ^ l2_data_miss_[w] ^ l3_data_miss[w];
       const std::uint64_t hi = l2_data_miss_[w];
-      const std::uint64_t tlb0 = word(dtlb_miss[0], w);
-      const std::uint64_t tlb1 = word(dtlb_miss[1], w);
+      const std::uint64_t tlb0 = word(s_.dtlb_[0].miss, w);
+      const std::uint64_t tlb1 = word(s_.dtlb_[1].miss, w);
       for (std::uint64_t m = loads; m != 0; m &= m - 1) {
         const int b = std::countr_zero(m);
         o[b] |= static_cast<Outcome>(
@@ -574,7 +583,6 @@ FunctionalStats UnitWalker::compose(const FunctionalStreams::Group& g,
       o[std::countr_zero(m)] |= outcome::kTakenBranch;
     }
   }
-  return stats;
 }
 
 }  // namespace dsml::sim::detail

@@ -23,9 +23,16 @@
 // without L3; 504 in a sweep) and holds its L3-absent and L3-present
 // groups. UnitWalker walks a unit's L2 once over its L1I and L1D miss
 // streams merged in trace order (an instruction's fetch before its data
-// access) and the L3 over the L2 misses, then composes each group's Outcome
-// stream and FunctionalStats from the shared bits and these two levels.
-// Both are identical to what FunctionalPass::run gives for the group.
+// access) and the L3 over the L2 misses, then composes one Outcome stream
+// for the whole unit: the L3-present group's, or the only group's. Its TLB
+// bits sit at the batch's reach indices, so both groups can read it
+// whatever slots each gives its reaches; each group still gets its own
+// FunctionalStats. An L3-absent configuration is timed against the
+// L3-present group's stream exactly: its L2 sees the same accesses, and its
+// timing prices level 2 (an L3 hit) as memory (timing_kernel.hpp). Read at
+// a group's reach slots, with level 2 read as memory for an L3-absent
+// group, the stream is what FunctionalPass::run gives the group, and so
+// are the group's counters.
 #pragma once
 
 #include <array>
@@ -38,6 +45,7 @@
 
 #include "sim/cache.hpp"
 #include "sim/core.hpp"
+#include "sim/timing_kernel.hpp"
 
 namespace dsml::sim::detail {
 
@@ -152,24 +160,32 @@ class FunctionalStreams {
 /// it walks.
 class UnitWalker {
  public:
-  /// Called once per group of a unit with the group's batch indices
-  /// (ascending), its outcomes and its counters, valid during the call.
-  using Visit = std::function<void(std::span<const std::size_t> members,
-                                   std::span<const Outcome> outcomes,
-                                   const FunctionalStats& stats)>;
+  /// One functional group of the walked unit.
+  struct GroupView {
+    std::span<const std::size_t> members;  ///< batch indices, ascending
+    FunctionalStats stats;  ///< as FunctionalPass::run gives the group
+  };
+  /// Called once per unit with its outcome stream, whose TLB bits sit at
+  /// the batch's reach indices, and its one or two groups, L3-absent first;
+  /// both are valid during the call.
+  using Visit = std::function<void(const OutcomeStream& stream,
+                                   std::span<const GroupView> groups)>;
 
   /// `streams` must outlive the walker.
   explicit UnitWalker(const FunctionalStreams& streams);
 
-  /// Walks unit `u`'s L2 and L3, then composes each of its groups,
-  /// L3-absent first, and calls `visit` with it. Counts one sim.l2_passes,
-  /// and one sim.functional_passes per group.
+  /// Walks unit `u`'s L2 and L3, composes its stream and each group's
+  /// counters, and calls `visit` with them. Counts one sim.l2_passes and
+  /// one sim.functional_passes.
   void walk(std::size_t u, const Visit& visit);
 
  private:
-  /// outcomes_ and the counters of group `g` of unit `unit`.
-  FunctionalStats compose(const FunctionalStreams::Group& g,
-                          const FunctionalStreams::Unit& unit);
+  /// outcomes_ for unit `unit`, from its L3-present group's key when it has
+  /// one, else from its only group's (`key`).
+  void compose(const FunctionalKey& key, const FunctionalStreams::Unit& unit);
+  /// The counters of group `g` of unit `unit`, at the group's reach slots.
+  FunctionalStats stats(const FunctionalStreams::Group& g,
+                        const FunctionalStreams::Unit& unit) const;
 
   const FunctionalStreams& s_;
   std::optional<Cache> l2_;

@@ -1,18 +1,21 @@
 // The timing kernel, written once over lanes. Private to src/sim (core.cpp,
-// timing_avx2.cpp) and the tests that compare its instantiations.
+// timing_avx2.cpp, timing_avx512.cpp) and the tests that compare its
+// instantiations.
 //
-// A lane is one configuration of a functional group. time_lanes<L> walks a
-// trace and the outcomes its functional pass recorded once, advancing every
-// lane's fetch, dispatch, issue and commit state; the lane policy L supplies
-// the per-lane values and arithmetic:
+// A lane is one configuration. time_lanes<L> walks a trace and the outcomes
+// a functional pass recorded once, advancing every lane's fetch, dispatch,
+// issue and commit state; the lane policy L supplies the per-lane values and
+// arithmetic:
 //
-//   OneLane<W, U>  (below)            one std::uint64_t per value, width W
-//                                     and pool size U as constants. Single
-//                                     configurations, simulate(), and every
-//                                     host without AVX2 run this.
-//   FourLanes      (timing_avx2.cpp)  one 64-bit lane of a 256-bit vector
-//                                     per configuration, compiled with
-//                                     -mavx2 and chosen by cpuid.
+//   OneLane<W, U>     (below)  one std::uint64_t per value, width W and pool
+//                              size U as constants. Single configurations,
+//                              simulate(), and every host without AVX2 run
+//                              this.
+//   VectorLanes<N>    (below)  one 64-bit lane of a vector per
+//                              configuration: N = 4 in timing_avx2.cpp
+//                              (-mavx2, 256 bits), N = 8 in
+//                              timing_avx512.cpp (-mavx512f, 512 bits).
+//                              cpuid picks the widest the host runs.
 //
 // Per-lane arrays are interleaved by lane, [entry][lane], so an index every
 // lane shares (an outcome's fetch or load field, a dependency distance, the
@@ -21,27 +24,36 @@
 // signed 64-bit vector compares order it last. Choices that follow an
 // outcome bit or a dependency distance are masks, not branches. Three steps
 // stay lane by lane: the RUU and LSQ look-back (the lanes' window sizes
-// differ, so their ring slots do), and a limiter claim's four slot loads
-// and stores (AVX2 has no scatter). The claim itself tests all four slots
-// in one vector compare, and walks lane by lane only when a cycle is full.
+// differ, so their ring slots do), and a limiter claim's slot loads and
+// stores. The claim itself tests every lane's slot in one vector compare,
+// and walks lane by lane only when a cycle is full.
 //
-// Everything after the declarations has internal linkage, so the -mavx2 TU
-// and the baseline TU each compile their own copy of every function they
-// use, and the linker can never hand a baseline caller an AVX2 body. For the
+// The lanes of one pass need not share a functional group. An L2 key's
+// L3-absent configurations read the L3-present group's stream: the L2 sees
+// the same accesses either way, and their tables price level 2 (an L3 hit)
+// as memory, which is what their own stream records there. Each lane reads
+// its TLB miss bits at its reaches' slots in the stream (OutcomeStream).
+//
+// Everything after the declarations has internal linkage, so each lane TU
+// and the baseline TU compile their own copy of every function they use,
+// and the linker can never hand a baseline caller a vector body. For the
 // same reason the kernel calls no standard-library template.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "sim/core.hpp"
 
 namespace dsml::sim::detail {
 
 /// Outcome bits. A level field names where an access was served: 0 = L1,
-/// 1 = L2, 2 = L3, 3 = memory. TLB miss bits are per reach slot
-/// (FunctionalStats).
+/// 1 = L2, 2 = L3, 3 = memory; without an L3 an L2 miss is memory, so a
+/// group without one never records level 2. TLB miss bits are per reach
+/// slot (OutcomeStream).
 namespace outcome {
 /// Bits 0–4, the fetch field: this instruction started a new I$ line.
 constexpr Outcome kFetch = 1u << 0;
@@ -60,9 +72,6 @@ constexpr Outcome kTakenBranch = 1u << 11;
 constexpr unsigned kFieldBits = 5;  ///< fetch and load fields
 constexpr unsigned kFieldMask = (1u << kFieldBits) - 1;
 }  // namespace outcome
-
-/// Lanes of the vector kernel.
-constexpr std::size_t kLanes = 4;
 
 /// Completion and commit time rings. The window is bounded by the RUU, so a
 /// ring a bit larger than the largest RUU (Table 1: 256) suffices; older
@@ -123,29 +132,56 @@ struct LaneState {
   std::uint64_t slots[2][kLimiterSlots][N];
 };
 
-/// Whether this build carries the four-lane kernel and the CPU runs it.
-bool lanes_supported() noexcept;
+/// An outcome stream and the TLB reaches its miss bits stand for: bit slot
+/// s of the fetch (load) field is a miss at ITLB (DTLB) reach
+/// itlb_reach_kb[s] (dtlb_reach_kb[s]); 0 marks an unused slot.
+/// FunctionalPass numbers a group's reaches in member order
+/// (FunctionalStats); simulate_batch's streams use the batch's order.
+struct OutcomeStream {
+  std::span<const Outcome> outcomes;
+  std::array<int, 2> itlb_reach_kb{};
+  std::array<int, 2> dtlb_reach_kb{};
+};
 
-/// Times `lanes`, one to kLanes configurations of one functional group, in
-/// one pass of the four-lane kernel; writes each lane's result to the same
-/// index of `results`. A configuration may repeat. Results are
-/// bit-identical to run_timing_pass on each lane. Counts one
-/// sim.lane_passes and lanes.size() sim.timing_passes. Throws
-/// InvalidArgument as run_timing_pass does, and StateError when
-/// lanes_supported() is false.
-void run_timing_lanes(std::span<const ProcessorConfig> lanes,
-                      const LatencyModel& latency,
+/// One configuration of a vector pass, and the counters of its functional
+/// group, which its result reports at the group's own reach slots.
+struct Lane {
+  ProcessorConfig config;
+  const FunctionalStats* group = nullptr;
+};
+
+/// Whether this build carries the n-lane kernel and the CPU runs it: n = 4
+/// needs AVX2, n = 8 AVX-512F. False for any other n.
+bool lanes_supported(std::size_t n) noexcept;
+
+/// The widest kernel the host runs: 8, 4, or 1 when it runs neither vector
+/// kernel.
+std::size_t lane_width() noexcept;
+
+/// Times `lanes`, one to N configurations, in one pass of the N-lane kernel
+/// against `stream`; writes each lane's result to the same index of
+/// `results`. A configuration may repeat, and lanes may come from different
+/// groups of one L2 key. Results are bit-identical to run_timing_pass on
+/// each lane's own group stream. Counts one sim.lane_passes and
+/// lanes.size() sim.timing_passes. Throws InvalidArgument as
+/// run_timing_pass does, or when the stream or a lane's group did not model
+/// the lane's TLB reaches, and StateError when lanes_supported(N) is false.
+/// Instantiated for N = 4 and 8.
+template <std::size_t N>
+void run_timing_lanes(std::span<const Lane> lanes, const LatencyModel& latency,
                       std::span<const Instr> trace,
-                      std::span<const Outcome> outcomes,
-                      const FunctionalStats& functional,
-                      LaneState<kLanes>& state, std::span<SimResult> results);
+                      const OutcomeStream& stream, LaneState<N>& state,
+                      std::span<SimResult> results);
 
-/// The four-lane kernel (timing_avx2.cpp): writes each lane's total cycles
-/// to cycles[0..kLanes). Call only when lanes_supported().
-void time_four_lanes(const LaneTables<kLanes>& tables,
-                     LaneState<kLanes>& state, const Instr* trace,
-                     const Outcome* outcomes, std::size_t n,
-                     std::uint64_t* cycles);
+/// The vector kernels, one per lane TU (timing_avx2.cpp and
+/// timing_avx512.cpp): write each lane's total cycles to cycles[0..N). Call
+/// only when lanes_supported(N).
+void time_vector_lanes(const LaneTables<4>& tables, LaneState<4>& state,
+                       const Instr* trace, const Outcome* outcomes,
+                       std::size_t n, std::uint64_t* cycles);
+void time_vector_lanes(const LaneTables<8>& tables, LaneState<8>& state,
+                       const Instr* trace, const Outcome* outcomes,
+                       std::size_t n, std::uint64_t* cycles);
 
 namespace {
 
@@ -231,6 +267,126 @@ struct OneLane {
     return claim_slot(slots, limiter, 0, earliest, W);
   }
 };
+
+#if defined(__AVX2__)
+/// N 64-bit lanes as one vector of the compiler's vector extensions, which
+/// lower to AVX2 or AVX-512 integer ops. GCC 12 drops a vector_size that
+/// depends on a template parameter, so each width is spelled out.
+template <std::size_t N>
+struct Int64s;
+template <>
+struct Int64s<2> {
+  typedef std::int64_t V __attribute__((vector_size(16)));
+};
+template <>
+struct Int64s<4> {
+  typedef std::int64_t V __attribute__((vector_size(32)));
+};
+template <>
+struct Int64s<8> {
+  typedef std::int64_t V __attribute__((vector_size(64)));
+};
+
+/// Whether no lane of `m` holds: the upper half OR-ed into the lower until
+/// two lanes remain, then their OR and one branch. OR-ing the lanes one by
+/// one costs an extract per lane.
+template <std::size_t N>
+bool none_set(typename Int64s<N>::V m);
+
+template <std::size_t N, std::size_t... I>
+bool none_set_halves(typename Int64s<N>::V m, std::index_sequence<I...>) {
+  return none_set<N / 2>(__builtin_shufflevector(m, m, I...) |
+                         __builtin_shufflevector(m, m, (N / 2 + I)...));
+}
+
+template <std::size_t N>
+bool none_set(typename Int64s<N>::V m) {
+  if constexpr (N == 2) {
+    return (m[0] | m[1]) == 0;
+  } else {
+    return none_set_halves<N>(m, std::make_index_sequence<N / 2>{});
+  }
+}
+
+/// One configuration per 64-bit lane of an N-lane vector. Min and max are
+/// signed (AVX2 has none for 64 bits, so there they are a compare and a
+/// blend): every value the kernel compares stays below 2^63.
+template <std::size_t N>
+struct VectorLanes {
+  static constexpr std::size_t kLanes = N;
+  static constexpr std::size_t kUnits = kMaxUnits;
+  using V = typename Int64s<N>::V;
+  using M = V;  ///< all ones in a lane where the condition holds
+  using Lanes = std::make_index_sequence<N>;
+
+  static V splat(std::uint64_t x) { return V{} + lane(x); }
+  static V load(const std::uint64_t* p) {
+    V v{};
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+  }
+  static void store(std::uint64_t* p, V v) {
+    __builtin_memcpy(p, &v, sizeof v);
+  }
+  static V max(V a, V b) { return a > b ? a : b; }
+  static V min(V a, V b) { return a > b ? b : a; }
+  static M eq(V a, V b) { return a == b; }
+  static M gt(V a, V b) { return a > b; }
+  static M both(M a, M b) { return a & b; }
+  static M and_not(M a, M b) { return a & ~b; }
+  static V select(M m, V a, V b) { return m ? a : b; }
+  static V one_if(M m) { return m & 1; }
+  static V width(const LaneTables<N>& t) { return load(t.width); }
+
+  static V look_back(const std::uint64_t (*ring)[N], std::size_t pos,
+                     const std::uint64_t* back) {
+    return look_back(ring, pos, back, Lanes{});
+  }
+
+  /// claim_slot on every lane, with the same cycles and slot words. The
+  /// lanes' slots at `earliest` are tested for a full cycle in one vector
+  /// compare. When none is full, the common case, each lane claims its slot
+  /// at `earliest`, so the claimed cycles never leave the register; the
+  /// mask compare is claim_slot's `(slot >> kCountBits) == c` without a
+  /// shift of signed lanes. Otherwise every lane walks in claim_slot.
+  static V claim(std::uint64_t (*slots)[kLimiterSlots][N],
+                 std::size_t limiter, V earliest, const LaneTables<N>& t) {
+    return claim(slots, limiter, earliest, t, Lanes{});
+  }
+
+ private:
+  template <std::size_t... I>
+  static V look_back(const std::uint64_t (*ring)[N], std::size_t pos,
+                     const std::uint64_t* back, std::index_sequence<I...>) {
+    return V{lane(ring[(pos - back[I]) & kRingMask][I])...};
+  }
+
+  template <std::size_t... I>
+  static V claim(std::uint64_t (*slots)[kLimiterSlots][N],
+                 std::size_t limiter, V earliest, const LaneTables<N>& t,
+                 std::index_sequence<I...>) {
+    std::uint64_t(*const ring)[N] = slots[limiter];
+    const V at = earliest & splat(kLimiterSlots - 1);
+    const V slot{lane(ring[cycle(at[I])][I])...};
+    const V named = earliest << kCountBits;
+    if (none_set<N>(slot == (named | load(t.width)))) [[likely]] {
+      const V next =
+          select((slot & splat(~kCountMask)) == named, slot + 1, named | 1);
+      ((ring[cycle(at[I])][I] = cycle(next[I])), ...);
+      return earliest;
+    }
+    return V{lane(
+        claim_slot(slots, limiter, I, cycle(earliest[I]), t.width[I]))...};
+  }
+
+  static std::int64_t lane(std::uint64_t x) {
+    return static_cast<std::int64_t>(x);
+  }
+  static std::uint64_t cycle(std::int64_t x) {
+    return static_cast<std::uint64_t>(x);
+  }
+};
+#endif  // __AVX2__
 
 /// Earliest cycle >= `earliest` a unit of the pool `units` can accept this
 /// op; books the unit. Each unit is pipelined (initiation interval 1), so

@@ -53,14 +53,20 @@ TEST(Sweep, CountsFunctionalAndTimingPasses) {
   const std::uint64_t l20 = l2.value();
   const std::uint64_t instructions0 = instructions.value();
   const std::uint64_t simulated0 = simulated.value();
+  metrics::Gauge& lane_width = metrics::gauge("sim.lane_width");
+  lane_width.set(0);
   const SweepResult sweep = run_design_space_sweep("gcc", tiny_sweep());
-  // 144 cache geometries x (3 predictors x 2 issue_wrong + perfect) keys;
-  // each key times 4 width/core pairs, perfect twins sharing one pass, in
-  // one four-lane pass where the host has AVX2.
-  EXPECT_EQ(functional.value() - functional0, 1008u);
+  // 144 cache geometries x (3 predictors x 2 issue_wrong + perfect) keys,
+  // two to an L2 key, which composes one outcome stream for both. Each key
+  // times 4 width/core pairs, perfect twins sharing one pass, so an L2 key
+  // times 8 configurations: one eight-lane pass with AVX-512F, two
+  // four-lane passes with AVX2, one-lane passes otherwise.
+  const std::size_t width = sim::detail::lane_width();
+  EXPECT_EQ(lane_width.value(), static_cast<double>(width));
+  EXPECT_EQ(functional.value() - functional0, 504u);
   EXPECT_EQ(timing.value() - timing0, 4032u);
   EXPECT_EQ(lanes.value() - lanes0,
-            sim::detail::lanes_supported() ? 1008u : 0u);
+            width == 8 ? 504u : width == 4 ? 1008u : 0u);
   // 6 L1D geometries and 6 L1I geometries x 7 predictor/issue_wrong
   // pairs; one L2 walk per key without its L3.
   EXPECT_EQ(l1.value() - l10, 48u);

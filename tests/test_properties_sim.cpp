@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -304,7 +305,46 @@ std::vector<std::vector<ProcessorConfig>> crafted_batches(
       // Small core first; groups with both reaches, entered big core
       // first, so their slots run opposite to the batch's.
       {space[0], space[4607], space[4606], space[4605], space[4604]},
+      // A bimodal and a perfect-predictor L2 key: small cores without the
+      // L3, big cores with it, so each key's two groups share no reach.
+      {space[8], space[12], space[41], space[45], space[0], space[2],
+       space[4], space[33], space[37]},
+      // The same keys the other way round, a big core first: the L3
+      // groups' only reach is the batch's second.
+      {space[13], space[40], space[44], space[9], space[1], space[32],
+       space[36], space[5]},
   };
+}
+
+/// One L2 key's configurations, small cores on one side of the L3 and big
+/// cores on the other, so the key's two groups use different TLB reaches;
+/// in random order, so either side may come first.
+std::vector<ProcessorConfig> split_reach_batch(
+    Rng& rng, const std::vector<ProcessorConfig>& space) {
+  // Each block of 64 holds one L1/L2 geometry: L3, predictor, width,
+  // issue_wrong and core size, outermost first.
+  const std::size_t predictor = rng.below(4);
+  const std::size_t base = 64 * rng.below(space.size() / 64) + 8 * predictor;
+  const std::size_t wrong = rng.below(2);
+  const std::size_t big_without_l3 = rng.below(2);
+  std::vector<ProcessorConfig> batch;
+  for (std::size_t l3 = 0; l3 < 2; ++l3) {
+    const std::size_t big = l3 == 0 ? big_without_l3 : 1 - big_without_l3;
+    for (std::size_t width = 0; width < 2; ++width) {
+      for (std::size_t w = 0; w < 2; ++w) {
+        // issue_wrong splits keys, except under the perfect predictor.
+        if (predictor != 0 && w != wrong) continue;
+        if (rng.chance(0.75)) {
+          batch.push_back(space[base + 32 * l3 + 4 * width + 2 * w + big]);
+        }
+      }
+    }
+  }
+  if (batch.empty()) batch.push_back(space[base]);
+  for (std::size_t i = batch.size(); i > 1; --i) {
+    std::swap(batch[i - 1], batch[rng.below(i)]);
+  }
+  return batch;
 }
 
 void expect_batch_matches_simulate(ThreadPool& pool,
@@ -335,6 +375,10 @@ TEST(BatchProperty, RandomSubsetsMatchSimulateOnRandomTraces) {
       expect_batch_matches_simulate(pool, random_batch(rng, space), trace,
                                     context + ", random batch " +
                                         std::to_string(b));
+      expect_batch_matches_simulate(pool, split_reach_batch(rng, space),
+                                    trace,
+                                    context + ", split-reach batch " +
+                                        std::to_string(b));
     }
     const auto crafted = crafted_batches(space);
     for (std::size_t b = 0; b < crafted.size(); ++b) {
@@ -354,6 +398,10 @@ TEST(BatchProperty, RandomSubsetsMatchSimulateOnEdgeTraces) {
     for (int b = 0; b < 2; ++b) {
       expect_batch_matches_simulate(pool, random_batch(rng, space), trace,
                                     name + ", random batch " +
+                                        std::to_string(b));
+      expect_batch_matches_simulate(pool, split_reach_batch(rng, space),
+                                    trace,
+                                    name + ", split-reach batch " +
                                         std::to_string(b));
     }
     const auto crafted = crafted_batches(space);

@@ -1,15 +1,19 @@
-// Bit identity of the timing kernel's two instantiations (sim/timing_kernel.hpp):
-// every lane of a four-lane pass must equal run_timing_pass, the one-lane
-// kernel, on the same configuration, in cycles and in every SimStats field.
-// On a host with AVX2 the batch path sends whole groups to the lanes, so
-// these tests are what keeps the one-lane path honest against them; on a
-// host without it they skip, and the sweep golden covers the one-lane path.
+// Bit identity of the timing kernel's instantiations
+// (sim/timing_kernel.hpp): every lane of a vector pass must equal
+// run_timing_pass, the one-lane kernel, on the same configuration against
+// its own group's functional pass, in cycles and in every SimStats field.
+// Every vector kernel the host runs is checked (four lanes with AVX2, eight
+// with AVX-512F), including lanes from both groups of an L2 key on the
+// L3-present group's stream, as simulate_batch times them. A kernel the
+// host lacks is skipped with a note naming the feature; without AVX2 the
+// tests skip, and the sweep golden covers the one-lane path.
 #include "sim/timing_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -24,9 +28,16 @@
 namespace dsml::sim {
 namespace {
 
-using detail::kLanes;
 using detail::kLimiterSlots;
 using detail::LaneState;
+
+/// The vector kernels, widest last, and the CPU feature each needs.
+struct Kernel {
+  std::size_t lanes;
+  const char* feature;
+};
+constexpr Kernel kKernels[] = {{4, "AVX2"}, {8, "AVX-512F"}};
+constexpr std::size_t kMaxLanes = 8;
 
 void expect_same(const SimResult& lane, const SimResult& one,
                  const std::string& context) {
@@ -47,10 +58,15 @@ void expect_same(const SimResult& lane, const SimResult& one,
   EXPECT_EQ(a.mispredicts, b.mispredicts) << context;
 }
 
-/// Outcomes of one functional pass over `group` on `trace`.
+/// Outcomes of one functional pass over a group on a trace.
 struct Functional {
   std::vector<Outcome> outcomes;
   FunctionalStats stats;
+
+  /// The outcomes, numbered by the pass's own reach slots.
+  detail::OutcomeStream stream() const {
+    return {outcomes, stats.itlb_reach_kb, stats.dtlb_reach_kb};
+  }
 };
 
 Functional run_functional(const std::vector<ProcessorConfig>& group,
@@ -62,22 +78,79 @@ Functional run_functional(const std::vector<ProcessorConfig>& group,
   return f;
 }
 
-/// Times `lanes` in one four-lane pass and each lane through the one-lane
-/// kernel, against the same outcomes, and compares them.
+/// A configuration to time and the functional pass of its own group.
+struct Timed {
+  ProcessorConfig config;
+  const Functional* own = nullptr;
+};
+
+std::vector<Timed> of_group(const std::vector<ProcessorConfig>& configs,
+                            const Functional& own) {
+  std::vector<Timed> out;
+  for (const ProcessorConfig& c : configs) out.push_back({c, &own});
+  return out;
+}
+
+template <std::size_t N>
+void expect_kernel_matches(const std::vector<Timed>& timed,
+                           const Trace& trace, const Functional& on,
+                           const std::string& context) {
+  std::vector<detail::Lane> lanes;
+  for (const Timed& t : timed) lanes.push_back({t.config, &t.own->stats});
+  auto state = std::make_unique<LaneState<N>>();
+  std::vector<SimResult> results(lanes.size());
+  detail::run_timing_lanes<N>(lanes, {}, trace.span(), on.stream(), *state,
+                              results);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const Timed& t = timed[l];
+    expect_same(results[l],
+                run_timing_pass(t.config, {}, trace.span(), t.own->outcomes,
+                                t.own->stats),
+                context + ", " + std::to_string(N) + " lanes, lane " +
+                    std::to_string(l) + " " + t.config.key());
+  }
+}
+
+/// Times `timed` in one pass of every vector kernel the host runs that has
+/// room for them, against the outcomes of `on`, and each configuration
+/// through the one-lane kernel against its own group's pass, and compares
+/// them.
+void expect_lanes_match(const std::vector<Timed>& timed, const Trace& trace,
+                        const Functional& on, const std::string& context) {
+  if (timed.size() <= 4 && detail::lanes_supported(4)) {
+    expect_kernel_matches<4>(timed, trace, on, context);
+  }
+  if (timed.size() <= 8 && detail::lanes_supported(8)) {
+    expect_kernel_matches<8>(timed, trace, on, context);
+  }
+}
+
+/// One functional group's configurations, timed against its own pass.
 void expect_lanes_match(const std::vector<ProcessorConfig>& lanes,
                         const Trace& trace, const Functional& f,
                         const std::string& context) {
-  auto state = std::make_unique<LaneState<kLanes>>();
-  std::vector<SimResult> results(lanes.size());
-  detail::run_timing_lanes(lanes, {}, trace.span(), f.outcomes, f.stats,
-                           *state, results);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    expect_same(results[l],
-                run_timing_pass(lanes[l], {}, trace.span(), f.outcomes,
-                                f.stats),
-                context + ", lane " + std::to_string(l) + " " +
-                    lanes[l].key());
-  }
+  expect_lanes_match(of_group(lanes, f), trace, f, context);
+}
+
+/// `c` with the design space's L3.
+ProcessorConfig with_l3(ProcessorConfig c) {
+  c.l3_size_mb = 8;
+  c.l3_line_b = 256;
+  c.l3_assoc = 8;
+  return c;
+}
+
+/// `c` without an L3.
+ProcessorConfig without_l3(ProcessorConfig c) {
+  c.l3_size_mb = 0;
+  c.l3_line_b = 0;
+  c.l3_assoc = 0;
+  return c;
+}
+
+std::vector<ProcessorConfig> with_l3(std::vector<ProcessorConfig> group) {
+  for (ProcessorConfig& c : group) c = with_l3(c);
+  return group;
 }
 
 /// A random cache geometry with `predictor` and `issue_wrong`.
@@ -159,8 +232,14 @@ ProcessorConfig base_config(int width, bool big) {
 class TimingLanes : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!detail::lanes_supported()) {
-      GTEST_SKIP() << "no four-lane timing kernel on this host";
+    for (const Kernel& k : kKernels) {
+      if (!detail::lanes_supported(k.lanes)) {
+        std::printf("note: %zu-lane kernel skipped: no %s on this host\n",
+                    k.lanes, k.feature);
+      }
+    }
+    if (detail::lane_width() == 1) {
+      GTEST_SKIP() << "no vector timing kernel on this host: no AVX2";
     }
   }
 };
@@ -188,8 +267,9 @@ TEST_F(TimingLanes, RandomGroupsMatchTheOneLaneKernel) {
       const Functional f = run_functional(group, trace);
       const std::string context = std::string(app) + " " + geometry.key();
 
-      // 1 to 4 lanes drawn with replacement, so lanes may repeat.
-      for (std::size_t count = 1; count <= kLanes; ++count) {
+      // 1 to 8 lanes drawn with replacement, so lanes may repeat; each
+      // kernel with room for them takes every draw.
+      for (std::size_t count = 1; count <= kMaxLanes; ++count) {
         for (int draw = 0; draw < 3; ++draw) {
           std::vector<ProcessorConfig> lanes;
           for (std::size_t l = 0; l < count; ++l) {
@@ -200,7 +280,7 @@ TEST_F(TimingLanes, RandomGroupsMatchTheOneLaneKernel) {
       }
       // The sweep's own lanes, and one of them duplicated.
       const std::vector<ProcessorConfig> sweep = sweep_timings(geometry);
-      ASSERT_EQ(sweep.size(), kLanes);
+      ASSERT_EQ(sweep.size(), 4u);
       expect_lanes_match(sweep, trace, f, context + " sweep");
       expect_lanes_match({sweep[2], sweep[0], sweep[2], sweep[3]}, trace, f,
                          context + " duplicated lane");
@@ -210,6 +290,54 @@ TEST_F(TimingLanes, RandomGroupsMatchTheOneLaneKernel) {
         expect_lanes_match({sweep[1], twin, sweep[3]}, trace, f,
                            context + " perfect twins");
       }
+    }
+  }
+}
+
+TEST_F(TimingLanes, BothGroupsOfAnL2KeyShareTheL3GroupsStream) {
+  // simulate_batch times an L2 key's L3-absent configurations against its
+  // L3-present group's stream, where level 2 is an L2 miss the L3 served.
+  // The L3-absent group's own pass numbers its reaches big core first, the
+  // L3 group's small core first, so each lane reads the stream's TLB bits
+  // at slots other than its group's.
+  Rng rng(23);
+  constexpr const char* kApps[] = {"mcf", "gcc", "applu", "equake", "mesa"};
+  for (int key = 0; key < 8; ++key) {
+    const auto predictor = static_cast<BranchPredictorKind>(rng.below(4));
+    const bool issue_wrong = rng.chance(0.5);
+    const ProcessorConfig geometry =
+        random_geometry(rng, predictor, issue_wrong);
+    const char* app = kApps[rng.below(5)];
+    const Trace trace = workload::generate_trace(
+        workload::spec_profile(app), 12000, rng.below(1000) + 1);
+    std::vector<ProcessorConfig> absent = timing_variants(without_l3(geometry));
+    std::reverse(absent.begin(), absent.end());
+    const std::vector<ProcessorConfig> present =
+        timing_variants(with_l3(geometry));
+    const Functional own = run_functional(absent, trace);
+    const Functional on = run_functional(present, trace);
+    ASSERT_NE(own.stats.itlb_reach_kb, on.stats.itlb_reach_kb);
+    const std::string context = std::string(app) + " " + geometry.key();
+
+    // The sweep's unit: four timings of each group, eight lanes, and each
+    // group's four alone.
+    const std::vector<Timed> sweep_absent =
+        of_group(sweep_timings(without_l3(geometry)), own);
+    const std::vector<Timed> sweep_present =
+        of_group(sweep_timings(with_l3(geometry)), on);
+    std::vector<Timed> unit = sweep_absent;
+    unit.insert(unit.end(), sweep_present.begin(), sweep_present.end());
+    expect_lanes_match(unit, trace, on, context + " sweep unit");
+    expect_lanes_match(sweep_absent, trace, on, context + " L3-absent lanes");
+    // Random draws from both groups.
+    for (std::size_t count = 1; count <= kMaxLanes; ++count) {
+      std::vector<Timed> lanes;
+      for (std::size_t l = 0; l < count; ++l) {
+        lanes.push_back(rng.chance(0.5)
+                            ? Timed{absent[rng.below(absent.size())], &own}
+                            : Timed{present[rng.below(present.size())], &on});
+      }
+      expect_lanes_match(lanes, trace, on, context + " mixed draw");
     }
   }
 }
@@ -252,6 +380,21 @@ void expect_synthetic_trace_matches(const Trace& trace,
                      name + " mixed lanes");
   expect_lanes_match({sweep[3], mixed_b, sweep[0]}, trace, f,
                      name + " three lanes");
+  expect_lanes_match({sweep[0], mixed_a, sweep[1], sweep[2], mixed_b,
+                      sweep[3], sweep[1], mixed_a},
+                     trace, f, name + " eight lanes");
+  expect_lanes_match({mixed_b, sweep[2], sweep[0], mixed_a, sweep[3]}, trace,
+                     f, name + " five lanes");
+
+  // The same configurations with an L3, and the L3-less ones timed against
+  // that group's stream beside them.
+  const Functional f3 = run_functional(with_l3(group), trace);
+  std::vector<Timed> unit = of_group(sweep, f);
+  for (const Timed& t : of_group(with_l3(sweep), f3)) unit.push_back(t);
+  expect_lanes_match(unit, trace, f3, name + " L2 key");
+  expect_lanes_match({{mixed_a, &f}, {with_l3(mixed_b), &f3}, {sweep[3], &f},
+                      {mixed_b, &f}, {with_l3(sweep[0]), &f3}},
+                     trace, f3, name + " mixed L2 key");
 }
 
 TEST_F(TimingLanes, DependencyDistancesAtTheRingEdges) {
@@ -333,53 +476,126 @@ TEST_F(TimingLanes, IssueBurstsWalkPastFullCyclesAndReuseStaleSlots) {
   expect_synthetic_trace_matches(trace, "issue bursts");
 }
 
+template <std::size_t N>
+void expect_bad_lanes_rejected(const Trace& trace) {
+  const std::vector<ProcessorConfig> small = {base_config(4, false)};
+  const Functional f = run_functional(small, trace);
+  const Functional both = run_functional(
+      {base_config(4, false), base_config(4, true)}, trace);
+  auto state = std::make_unique<LaneState<N>>();
+  std::vector<SimResult> results(N + 1);
+  const auto run = [&](const std::vector<detail::Lane>& lanes,
+                       const Functional& on) {
+    detail::run_timing_lanes<N>(lanes, {}, trace.span(), on.stream(), *state,
+                                std::span(results).first(lanes.size()));
+  };
+  const std::string context = std::to_string(N) + " lanes";
+  const detail::Lane one_small{base_config(4, false), &f.stats};
+  EXPECT_THROW(run(std::vector<detail::Lane>(N + 1, one_small), f),
+               InvalidArgument)
+      << context;
+  EXPECT_THROW(run({}, f), InvalidArgument) << context;
+  EXPECT_THROW(detail::run_timing_lanes<N>(
+                   {&one_small, 1}, {}, trace.span(), f.stream(), *state,
+                   std::span(results).first(2)),
+               InvalidArgument)
+      << context;
+  // The stream modelled only the small core's TLB reaches.
+  const detail::Lane big{base_config(4, true), &both.stats};
+  EXPECT_THROW(run({big}, f), InvalidArgument) << context;
+  // The stream modelled both, the lane's group only the small core's.
+  const detail::Lane big_in_small{base_config(4, true), &f.stats};
+  EXPECT_THROW(run({big_in_small}, both), InvalidArgument) << context;
+}
+
 TEST_F(TimingLanes, RejectsBadLaneCountsAndUnmodelledReaches) {
   const Trace trace =
       workload::generate_trace(workload::spec_profile("gcc"), 4000);
-  const std::vector<ProcessorConfig> small = {base_config(4, false)};
-  const Functional f = run_functional(small, trace);
-  auto state = std::make_unique<LaneState<kLanes>>();
-  std::vector<SimResult> results(5);
-  const std::vector<ProcessorConfig> five(5, base_config(4, false));
-  EXPECT_THROW(detail::run_timing_lanes(five, {}, trace.span(), f.outcomes,
-                                        f.stats, *state, results),
-               InvalidArgument);
-  EXPECT_THROW(detail::run_timing_lanes({}, {}, trace.span(), f.outcomes,
-                                        f.stats, *state, {}),
-               InvalidArgument);
-  // The pass modelled only the small core's TLB reaches.
-  const std::vector<ProcessorConfig> big = {base_config(4, true)};
-  EXPECT_THROW(
-      detail::run_timing_lanes(big, {}, trace.span(), f.outcomes, f.stats,
-                               *state, std::span(results).first(1)),
-      InvalidArgument);
+  for (const Kernel& k : kKernels) {
+    if (!detail::lanes_supported(k.lanes)) {
+      // A kernel the host lacks refuses to run.
+      const Functional f = run_functional({base_config(4, false)}, trace);
+      const detail::Lane lane{base_config(4, false), &f.stats};
+      std::vector<SimResult> result(1);
+      if (k.lanes == 8) {
+        auto state = std::make_unique<LaneState<8>>();
+        EXPECT_THROW(detail::run_timing_lanes<8>({&lane, 1}, {}, trace.span(),
+                                                 f.stream(), *state, result),
+                     StateError);
+      }
+      continue;
+    }
+    if (k.lanes == 4) expect_bad_lanes_rejected<4>(trace);
+    if (k.lanes == 8) expect_bad_lanes_rejected<8>(trace);
+  }
+}
+
+/// Vector passes simulate_batch makes for a unit of `timings` distinct
+/// timings on a host whose widest kernel has `width` lanes: one per `width`
+/// while at least three remain.
+std::uint64_t expected_lane_passes(std::size_t timings, std::size_t width) {
+  std::uint64_t passes = 0;
+  while (width > 1 && timings >= 3) {
+    timings -= std::min(width, timings);
+    ++passes;
+  }
+  return passes;
 }
 
 TEST_F(TimingLanes, BatchTimesGroupsOfThreeOrMoreInLanes) {
-  // One group with k distinct timings: four-lane passes while at least
-  // three timings remain, one-lane passes for the rest.
+  // One group with k distinct timings: passes of the widest kernel while at
+  // least three timings remain, one-lane passes for the rest. Four lanes
+  // take 0, 0, 1, 1, 1, 1, 2, 2, 2 passes for k = 1..9, eight lanes 0, 0,
+  // then 1 for every k.
+  const std::size_t width = detail::lane_width();
+  ASSERT_TRUE(width == 4 || width == 8) << width;
+  constexpr std::uint64_t kFourLanes[] = {0, 0, 1, 1, 1, 1, 2, 2, 2};
+  constexpr std::uint64_t kEightLanes[] = {0, 0, 1, 1, 1, 1, 1, 1, 1};
+  const std::uint64_t* expected = width == 8 ? kEightLanes : kFourLanes;
   const Trace trace =
       workload::generate_trace(workload::spec_profile("mcf"), 6000);
   ProcessorConfig geometry = base_config(4, false);
   const std::vector<ProcessorConfig> variants = timing_variants(geometry);
   metrics::Counter& lane_passes = metrics::counter("sim.lane_passes");
   metrics::Counter& timing_passes = metrics::counter("sim.timing_passes");
-  constexpr std::uint64_t kExpectedLanePasses[] = {0, 0, 1, 1, 1, 1, 2, 2, 2};
+  metrics::Gauge& lane_width = metrics::gauge("sim.lane_width");
   ThreadPool pool(2);
   for (std::size_t k = 1; k <= 9; ++k) {
+    ASSERT_EQ(expected[k - 1], expected_lane_passes(k, width));
     // Every variant twice: duplicates share their first occurrence's pass.
     std::vector<ProcessorConfig> configs;
     for (std::size_t i = 0; i < k; ++i) configs.push_back(variants[i * 7]);
     for (std::size_t i = 0; i < k; ++i) configs.push_back(variants[i * 7]);
     const std::uint64_t lanes0 = lane_passes.value();
     const std::uint64_t timing0 = timing_passes.value();
+    lane_width.set(0);
     const std::vector<SimResult> batch = simulate_batch(pool, configs, trace);
-    EXPECT_EQ(lane_passes.value() - lanes0, kExpectedLanePasses[k - 1])
+    EXPECT_EQ(lane_passes.value() - lanes0, expected[k - 1])
         << k << " timings";
     EXPECT_EQ(timing_passes.value() - timing0, k) << k << " timings";
+    EXPECT_EQ(lane_width.value(), static_cast<double>(width));
     for (std::size_t i = 0; i < configs.size(); ++i) {
       expect_same(batch[i], simulate(configs[i], trace),
                   std::to_string(k) + " timings, " + configs[i].key());
+    }
+  }
+  // Both groups of an L2 key share the unit's passes: k timings of each.
+  for (std::size_t k = 1; k <= 4; ++k) {
+    std::vector<ProcessorConfig> configs;
+    for (std::size_t i = 0; i < k; ++i) {
+      configs.push_back(variants[i * 9]);
+      configs.push_back(with_l3(variants[i * 9 + 1]));
+    }
+    const std::uint64_t lanes0 = lane_passes.value();
+    const std::uint64_t timing0 = timing_passes.value();
+    const std::vector<SimResult> batch = simulate_batch(pool, configs, trace);
+    EXPECT_EQ(lane_passes.value() - lanes0, expected_lane_passes(2 * k, width))
+        << k << " timings per group";
+    EXPECT_EQ(timing_passes.value() - timing0, 2 * k);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      expect_same(batch[i], simulate(configs[i], trace),
+                  std::to_string(k) + " timings per group, " +
+                      configs[i].key());
     }
   }
 }
@@ -503,7 +719,8 @@ TEST(LimiterClaims, OneCompareProbeMatchesTheTwoConditionProbe) {
     for (int run = 0; run < 2; ++run, ++seed) {
       for (const ProbeMix& mix :
            {expect_claims_match<1>(width, seed, 3000),
-            expect_claims_match<kLanes>(width, seed, 3000)}) {
+            expect_claims_match<4>(width, seed, 3000),
+            expect_claims_match<8>(width, seed, 3000)}) {
         if (HasFailure()) return;
         total.earlier += mix.earlier;
         total.later += mix.later;
