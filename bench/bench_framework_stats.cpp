@@ -6,6 +6,7 @@
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "sim/config.hpp"
 #include "specdata/generator.hpp"
 #include "workload/profiles.hpp"
 

@@ -1,19 +1,29 @@
 // Micro-benchmarks of the simulator substrate (google-benchmark): the
-// one-config simulate() path and its two passes apart (the functional pass
-// through caches, TLBs and predictor; the timing pass over its outcomes),
-// the vector timing passes a sweep's L2 keys take, cache and predictor
-// lookup costs, and trace generation speed. The timing benchmarks count
-// configurations x instructions, so their items/s compare per
-// configuration.
+// one-config simulate() path (a one-configuration simulate_batch), the
+// timing passes a sweep's L2 keys take (one configuration per one-lane
+// pass, eight or four per vector pass), cache and predictor lookup costs,
+// and trace generation speed. The timing benchmarks count configurations x
+// instructions, so their items/s compare per configuration.
+//
+// The timing benchmarks time the outcome stream and group counters that
+// simulate_batch times: detail::FunctionalStreams, then one
+// UnitWalker::walk. The tests' reference functional pass
+// (tests/support/reference_sim.hpp) gives the same outcomes, but bench/
+// may not include tests/.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
+#include "sim/branch.hpp"
+#include "sim/cache.hpp"
 #include "sim/core.hpp"
+#include "sim/functional_streams.hpp"
 #include "sim/timing_kernel.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
@@ -41,33 +51,48 @@ void BM_SimulateTrace(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 
-void BM_FunctionalPass(benchmark::State& state) {
-  const sim::Trace& trace = bench_trace();
-  const auto space = sim::enumerate_design_space();
-  const auto& config = space[static_cast<std::size_t>(state.range(0))];
-  const auto group = std::span(&config, 1);
-  std::vector<sim::Outcome> outcomes(trace.size());
-  for (auto _ : state) {
-    sim::FunctionalPass pass(group);  // cold structures, as in a sweep
-    auto stats = pass.run(trace.span(), outcomes);
-    benchmark::DoNotOptimize(stats);
-    benchmark::DoNotOptimize(outcomes.data());
-    benchmark::ClobberMemory();
+// The outcome stream of one L2 key and the counters of its groups, as
+// simulate_batch composes them for `configs`, which share the L2 key.
+struct UnitStream {
+  std::vector<sim::Outcome> outcomes;
+  std::array<int, 2> itlb_reach_kb{};
+  std::array<int, 2> dtlb_reach_kb{};
+  std::vector<sim::FunctionalStats> stats;  // per configuration, its group's
+
+  sim::detail::OutcomeStream stream() const {
+    return {outcomes, itlb_reach_kb, dtlb_reach_kb};
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.size()));
+};
+
+UnitStream walk_unit(std::span<const sim::ProcessorConfig> configs,
+               const sim::Trace& trace) {
+  const sim::detail::FunctionalStreams streams(ThreadPool::global(), configs,
+                                               trace.span());
+  sim::detail::UnitWalker walker(streams);
+  UnitStream unit;
+  unit.stats.resize(configs.size());
+  walker.walk(0, [&unit](const sim::detail::OutcomeStream& stream,
+                         std::span<const sim::detail::UnitWalker::GroupView>
+                             groups) {
+    unit.outcomes.assign(stream.outcomes.begin(), stream.outcomes.end());
+    unit.itlb_reach_kb = stream.itlb_reach_kb;
+    unit.dtlb_reach_kb = stream.dtlb_reach_kb;
+    for (const sim::detail::UnitWalker::GroupView& g : groups) {
+      for (const std::size_t idx : g.members) unit.stats[idx] = g.stats;
+    }
+  });
+  return unit;
 }
 
 void BM_TimingPass(benchmark::State& state) {
   const sim::Trace& trace = bench_trace();
   const auto space = sim::enumerate_design_space();
   const auto& config = space[static_cast<std::size_t>(state.range(0))];
-  std::vector<sim::Outcome> outcomes(trace.size());
-  sim::FunctionalPass pass(std::span(&config, 1));
-  const sim::FunctionalStats stats = pass.run(trace.span(), outcomes);
+  // One configuration's stream numbers its reaches as its group does.
+  const UnitStream unit = walk_unit(std::span(&config, 1), trace);
   for (auto _ : state) {
-    auto result =
-        sim::run_timing_pass(config, {}, trace.span(), outcomes, stats);
+    auto result = sim::run_timing_pass(config, trace.span(), unit.outcomes,
+                                       unit.stats[0]);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -96,34 +121,25 @@ std::vector<sim::ProcessorConfig> timing_unit(std::size_t index) {
   return unit;
 }
 
-// One L2 key's eight timings against its L3-present group's stream, on the
-// widest kernel the host runs: one eight-lane pass, or two four-lane ones.
+// One L2 key's eight timings against its one stream, on the widest kernel
+// the host runs: one eight-lane pass, or two four-lane ones.
 template <std::size_t N>
 void time_unit(benchmark::State& state,
-               const std::vector<sim::ProcessorConfig>& unit) {
+               const std::vector<sim::ProcessorConfig>& configs) {
   const sim::Trace& trace = bench_trace();
-  const auto absent = std::span(unit).first(unit.size() / 2);
-  const auto present = std::span(unit).last(unit.size() / 2);
-  std::vector<sim::Outcome> own(trace.size());
-  std::vector<sim::Outcome> outcomes(trace.size());
-  const sim::FunctionalStats absent_stats =
-      sim::FunctionalPass(absent).run(trace.span(), own);
-  const sim::FunctionalStats stats =
-      sim::FunctionalPass(present).run(trace.span(), outcomes);
+  const UnitStream unit = walk_unit(configs, trace);
   std::vector<sim::detail::Lane> lanes;
-  for (const sim::ProcessorConfig& c : absent) {
-    lanes.push_back({c, &absent_stats});
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    lanes.push_back({configs[i], &unit.stats[i]});
   }
-  for (const sim::ProcessorConfig& c : present) lanes.push_back({c, &stats});
-  const sim::detail::OutcomeStream stream{outcomes, stats.itlb_reach_kb,
-                                          stats.dtlb_reach_kb};
+  const sim::detail::OutcomeStream stream = unit.stream();
   auto lane_state = std::make_unique<sim::detail::LaneState<N>>();
   std::vector<sim::SimResult> results(lanes.size());
   for (auto _ : state) {
     for (std::size_t next = 0; next < lanes.size(); next += N) {
       const std::size_t count = std::min(N, lanes.size() - next);
       sim::detail::run_timing_lanes<N>(
-          std::span(lanes).subspan(next, count), {}, trace.span(), stream,
+          std::span(lanes).subspan(next, count), trace.span(), stream,
           *lane_state, std::span(results).subspan(next, count));
     }
     benchmark::DoNotOptimize(results.data());
@@ -193,8 +209,6 @@ void BM_SimPointSelection(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SimulateTrace)->Arg(0)->Arg(1151)->Arg(4607)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FunctionalPass)->Arg(0)->Arg(1151)->Arg(4607)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TimingPass)->Arg(0)->Arg(1151)->Arg(4607)
     ->Unit(benchmark::kMillisecond);

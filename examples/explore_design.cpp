@@ -32,12 +32,16 @@ void report_top(const char* title,
   std::printf("\n%s\n", title);
   std::printf("%-4s %-52s %-12s %-12s\n", "rank", "configuration",
               "predicted", "simulated");
+  std::vector<dsml::sim::ProcessorConfig> picks;
   for (std::size_t i = 0; i < top && i < order.size(); ++i) {
-    const std::size_t idx = order[i];
-    const auto actual = dsml::sim::simulate(space[idx], trace);
+    picks.push_back(space[order[i]]);
+  }
+  const std::vector<dsml::sim::SimResult> actual =
+      dsml::sim::simulate_batch(picks, trace);
+  for (std::size_t i = 0; i < picks.size(); ++i) {
     std::printf("%-4zu %-52s %-12.0f %-12llu\n", i + 1,
-                space[idx].key().c_str(), predicted[idx],
-                static_cast<unsigned long long>(actual.cycles));
+                picks[i].key().c_str(), predicted[order[i]],
+                static_cast<unsigned long long>(actual[i].cycles));
   }
 }
 
@@ -55,11 +59,10 @@ int main(int argc, char** argv) {
   Rng rng(7);
   const auto sample = data::sample_fraction(space.size(), 0.02, rng);
   std::vector<sim::ProcessorConfig> train_configs;
+  for (std::size_t idx : sample) train_configs.push_back(space[idx]);
   std::vector<double> train_cycles;
-  for (std::size_t idx : sample) {
-    train_configs.push_back(space[idx]);
-    train_cycles.push_back(
-        static_cast<double>(sim::simulate(space[idx], trace).cycles));
+  for (const sim::SimResult& r : sim::simulate_batch(train_configs, trace)) {
+    train_cycles.push_back(static_cast<double>(r.cycles));
   }
   std::printf("simulated %zu configurations for training ('%s')\n",
               sample.size(), app.c_str());

@@ -39,11 +39,10 @@ int main() {
               space.size());
 
   std::vector<sim::ProcessorConfig> sampled_configs;
+  for (std::size_t idx : sample) sampled_configs.push_back(space[idx]);
   std::vector<double> sampled_cycles;
-  for (std::size_t idx : sample) {
-    sampled_configs.push_back(space[idx]);
-    sampled_cycles.push_back(
-        static_cast<double>(sim::simulate(space[idx], trace).cycles));
+  for (const sim::SimResult& r : sim::simulate_batch(sampled_configs, trace)) {
+    sampled_cycles.push_back(static_cast<double>(r.cycles));
   }
   const data::Dataset train =
       sim::make_config_dataset(sampled_configs, sampled_cycles);
@@ -58,12 +57,12 @@ int main() {
   const std::vector<std::size_t> rest =
       data::complement(space.size(), sample);
   std::vector<sim::ProcessorConfig> probe_configs;
-  std::vector<double> probe_cycles;
   for (std::size_t i = 0; i < 20; ++i) {
-    const std::size_t idx = rest[(i * 997) % rest.size()];
-    probe_configs.push_back(space[idx]);
-    probe_cycles.push_back(
-        static_cast<double>(sim::simulate(space[idx], trace).cycles));
+    probe_configs.push_back(space[rest[(i * 997) % rest.size()]]);
+  }
+  std::vector<double> probe_cycles;
+  for (const sim::SimResult& r : sim::simulate_batch(probe_configs, trace)) {
+    probe_cycles.push_back(static_cast<double>(r.cycles));
   }
   const data::Dataset probe = sim::make_config_dataset(probe_configs);
   const std::vector<double> predicted = model->predict(probe);

@@ -16,6 +16,7 @@
 
 #include "dse/sampled.hpp"
 #include "dse/sweep.hpp"
+#include "sim/config.hpp"
 
 int main(int argc, char** argv) {
   using namespace dsml;

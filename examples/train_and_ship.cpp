@@ -26,11 +26,10 @@ int main() {
   Rng rng(11);
   const auto sample = data::sample_fraction(space.size(), 0.02, rng);
   std::vector<sim::ProcessorConfig> configs;
+  for (std::size_t idx : sample) configs.push_back(space[idx]);
   std::vector<double> cycles;
-  for (std::size_t idx : sample) {
-    configs.push_back(space[idx]);
-    cycles.push_back(
-        static_cast<double>(sim::simulate(space[idx], trace).cycles));
+  for (const sim::SimResult& r : sim::simulate_batch(configs, trace)) {
+    cycles.push_back(static_cast<double>(r.cycles));
   }
   auto model = ml::make_model("NN-E").make();
   model->fit(sim::make_config_dataset(configs, cycles));
@@ -58,13 +57,16 @@ int main() {
               max_delta);
 
   // And it still explains the design space.
-  std::vector<double> truth;
+  std::vector<sim::ProcessorConfig> fresh;
   std::vector<double> predicted;
   for (std::size_t i = 0; i < 40; ++i) {
     const std::size_t idx = (i * 113) % space.size();
-    truth.push_back(
-        static_cast<double>(sim::simulate(space[idx], trace).cycles));
+    fresh.push_back(space[idx]);
     predicted.push_back(b[idx]);
+  }
+  std::vector<double> truth;
+  for (const sim::SimResult& r : sim::simulate_batch(fresh, trace)) {
+    truth.push_back(static_cast<double>(r.cycles));
   }
   std::printf("shipped-model error on 40 fresh configurations: %.2f%%\n",
               ml::mape(predicted, truth));

@@ -14,182 +14,37 @@
 
 namespace dsml::sim {
 
-namespace {
-
-namespace outcome = detail::outcome;
-
-// ---------------------------------------------------------------------------
-// Functional pass
-
-/// The group's first configuration, after checking that every member is
-/// valid and shares its functional key.
-const ProcessorConfig& validated_head(std::span<const ProcessorConfig> group) {
-  DSML_REQUIRE(!group.empty(), "FunctionalPass: empty configuration group");
-  const FunctionalKey key = group.front().functional_key();
-  for (const ProcessorConfig& c : group) {
-    c.validate();
-    DSML_REQUIRE(c.functional_key() == key,
-                 "FunctionalPass: configurations differ in functional key");
-  }
-  return group.front();
-}
-
-/// Records `reach_kb` in the first free slot unless already present.
-void add_reach(std::array<int, 2>& slots, int reach_kb) {
-  for (int& slot : slots) {
-    if (slot == reach_kb) return;
-    if (slot == 0) {
-      slot = reach_kb;
-      return;
-    }
-  }
-  throw InvalidArgument("FunctionalPass: more than two TLB reaches in a group");
-}
-
-double tlb_miss_rate(const Tlb& tlb) {
-  return tlb.accesses() > 0 ? static_cast<double>(tlb.misses()) /
-                                  static_cast<double>(tlb.accesses())
-                            : 0.0;
-}
-
-/// Level field value for "served by memory".
-constexpr unsigned kMemoryLevel = 3;
-
-}  // namespace
-
-FunctionalPass::FunctionalPass(std::span<const ProcessorConfig> group)
-    : geometry_(validated_head(group)),
-      l1d_(static_cast<std::uint64_t>(geometry_.l1d_size_kb) * 1024,
-           static_cast<std::uint32_t>(geometry_.l1d_line_b),
-           static_cast<std::uint32_t>(geometry_.l1d_assoc)),
-      l1i_(static_cast<std::uint64_t>(geometry_.l1i_size_kb) * 1024,
-           static_cast<std::uint32_t>(geometry_.l1i_line_b),
-           static_cast<std::uint32_t>(geometry_.l1i_assoc)),
-      l2_(static_cast<std::uint64_t>(geometry_.l2_size_kb) * 1024,
-          static_cast<std::uint32_t>(geometry_.l2_line_b),
-          static_cast<std::uint32_t>(geometry_.l2_assoc)),
-      l3_(geometry_.has_l3()
-              ? static_cast<std::uint64_t>(geometry_.l3_size_mb) * 1024 * 1024
-              : 1024 * 1024,  // placeholder geometry; unused when absent
-          geometry_.has_l3() ? static_cast<std::uint32_t>(geometry_.l3_line_b)
-                             : 256,
-          geometry_.has_l3() ? static_cast<std::uint32_t>(geometry_.l3_assoc)
-                             : 8),
-      predictor_(make_branch_predictor(geometry_.branch_predictor)) {
-  for (const ProcessorConfig& c : group) {
-    add_reach(itlb_reach_kb_, c.itlb_size_kb);
-    add_reach(dtlb_reach_kb_, c.dtlb_size_kb);
-  }
-  for (const int reach : itlb_reach_kb_) {
-    if (reach != 0) itlbs_.emplace_back(static_cast<std::uint64_t>(reach));
-  }
-  for (const int reach : dtlb_reach_kb_) {
-    if (reach != 0) dtlbs_.emplace_back(static_cast<std::uint64_t>(reach));
-  }
-}
-
-Outcome FunctionalPass::access(std::uint64_t addr, std::vector<Tlb>& tlbs,
-                               Cache& l1, unsigned tlb_miss_shift,
-                               unsigned level_shift) {
-  unsigned bits = 0;
-  for (std::size_t s = 0; s < tlbs.size(); ++s) {
-    if (!tlbs[s].access(addr)) bits |= 1u << (tlb_miss_shift + s);
-  }
-  unsigned level = 0;
-  if (!l1.access(addr)) {
-    level = 1;
-    if (!l2_.access(addr)) {
-      level = geometry_.has_l3() && l3_.access(addr) ? 2 : kMemoryLevel;
-    }
-  }
-  return static_cast<Outcome>(bits | level << level_shift);
-}
-
-FunctionalStats FunctionalPass::run(std::span<const Instr> trace,
-                                    std::span<Outcome> outcomes) {
-  DSML_REQUIRE(!trace.empty(), "FunctionalPass::run: empty trace");
-  DSML_REQUIRE(outcomes.size() == trace.size(),
-               "FunctionalPass::run: outcome buffer and trace differ in size");
-  static metrics::Counter& passes = metrics::counter("sim.functional_passes");
-  passes.add();
-
-  const auto line_b = static_cast<std::uint64_t>(geometry_.l1i_line_b);
-  FunctionalStats stats;
-  std::uint64_t last_fetch_line = ~0ULL;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const Instr& ins = trace[i];
-    Outcome o = 0;
-    // A new I$ line costs a cache lookup; within a line fetch is free.
-    const std::uint64_t line = ins.pc / line_b;
-    if (line != last_fetch_line) {
-      o |= outcome::kFetch | access(ins.pc, itlbs_, l1i_,
-                                    outcome::kItlbMissShift,
-                                    outcome::kFetchLevelShift);
-      last_fetch_line = line;
-    }
-    switch (ins.op) {
-      case OpClass::kLoad:
-        o |= outcome::kLoad | access(ins.mem_addr, dtlbs_, l1d_,
-                                     outcome::kDtlbMissShift,
-                                     outcome::kLoadLevelShift);
-        break;
-      case OpClass::kStore:
-        // The write drains in the background but updates cache state now.
-        access(ins.mem_addr, dtlbs_, l1d_, outcome::kDtlbMissShift,
-               outcome::kLoadLevelShift);
-        break;
-      case OpClass::kBranch: {
-        ++stats.branch_count;
-        const bool predicted =
-            predictor_->predict_and_update(ins.pc, ins.taken);
-        if (predicted != ins.taken) {
-          ++stats.mispredicts;
-          o |= outcome::kMispredict;
-          if (geometry_.issue_wrong) {
-            // The wrong path touches the instruction cache (possible
-            // pollution, possible prefetch) before the machine resumes.
-            const std::uint64_t wrong_pc = ins.taken ? ins.pc + 4 : ins.target;
-            for (std::uint64_t w = 0; w < 2; ++w) {
-              l1i_.access(wrong_pc + w * line_b);
-            }
-          }
-          last_fetch_line = ~0ULL;
-        } else if (ins.taken) {
-          o |= outcome::kTakenBranch;
-          last_fetch_line = ~0ULL;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    outcomes[i] = o;
-  }
-
-  stats.l1d_miss_rate = l1d_.miss_rate();
-  stats.l1i_miss_rate = l1i_.miss_rate();
-  stats.l2_miss_rate = l2_.miss_rate();
-  stats.l3_miss_rate = geometry_.has_l3() ? l3_.miss_rate() : 0.0;
-  stats.itlb_reach_kb = itlb_reach_kb_;
-  stats.dtlb_reach_kb = dtlb_reach_kb_;
-  for (std::size_t s = 0; s < itlbs_.size(); ++s) {
-    stats.itlb_miss_rate[s] = tlb_miss_rate(itlbs_[s]);
-  }
-  for (std::size_t s = 0; s < dtlbs_.size(); ++s) {
-    stats.dtlb_miss_rate[s] = tlb_miss_rate(dtlbs_[s]);
-  }
-  return stats;
-}
-
 // ---------------------------------------------------------------------------
 // Timing pass
 
 namespace {
 
+namespace outcome = detail::outcome;
+
 using detail::Lane;
 using detail::LaneState;
 using detail::LaneTables;
 using detail::OutcomeStream;
+
+/// Latencies in cycles, the same for every configuration. These mirror
+/// common sim-outorder settings for an early-2000s deep pipeline.
+struct LatencyModel {
+  int decode_pipeline = 3;      ///< fetch→dispatch depth
+  int int_alu = 1;
+  int int_mult = 3;
+  int fp_alu = 2;
+  int fp_mult = 4;
+  int agen = 1;                 ///< address generation before D$ access
+  int l1d_hit = 1;
+  int l1d_hit_large = 2;        ///< 64KB L1 pays one extra cycle
+  int l2_hit = 12;
+  int l2_hit_large = 15;        ///< 1MB L2 pays a little more
+  int l3_hit = 40;
+  int memory = 170;
+  int tlb_miss = 36;
+  int mispredict_redirect = 7;  ///< resolve→refetch penalty
+};
+constexpr LatencyModel kLatency;
 
 std::size_t reach_slot(const std::array<int, 2>& reaches, int reach_kb) {
   for (std::size_t s = 0; s < reaches.size(); ++s) {
@@ -221,15 +76,17 @@ ReachSlots group_slots(const ProcessorConfig& c, const FunctionalStats& g) {
 }
 
 /// Writes configuration `c` into lane `lane` of `t`, reading TLB misses at
-/// `slots` of the stream, and the latency model into the entries every
-/// lane shares.
+/// `slots` of the stream, and the latencies into the entries every lane
+/// shares.
 template <std::size_t N>
 void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
-               const LatencyModel& lat, ReachSlots slots) {
-  const int l1 = c.l1d_size_kb >= 64 ? lat.l1d_hit_large : lat.l1d_hit;
-  const int l2 = c.l2_size_kb >= 1024 ? lat.l2_hit_large : lat.l2_hit;
-  const int l3 = c.has_l3() ? lat.l3_hit : 0;
-  const int memory = l2 + l3 + lat.memory;
+               ReachSlots slots) {
+  const int l1 =
+      c.l1d_size_kb >= 64 ? kLatency.l1d_hit_large : kLatency.l1d_hit;
+  const int l2 =
+      c.l2_size_kb >= 1024 ? kLatency.l2_hit_large : kLatency.l2_hit;
+  const int l3 = c.has_l3() ? kLatency.l3_hit : 0;
+  const int memory = l2 + l3 + kLatency.memory;
   // Latency past the L1 by the level that served the access. Without an L3
   // an L2 miss is memory, and the configuration's own stream never holds
   // level 2; its L3 twin's stream, which simulate_batch times it against,
@@ -242,7 +99,7 @@ void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
     if (f & outcome::kFetch) {
       stall = beyond_l1[(f >> outcome::kFetchLevelShift) & 3];
       if ((f >> (outcome::kItlbMissShift + slots.itlb)) & 1) {
-        stall += lat.tlb_miss;
+        stall += kLatency.tlb_miss;
       }
     }
     t.fetch_stall[f][lane] = static_cast<std::uint64_t>(stall);
@@ -254,7 +111,7 @@ void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
     int latency = 0;
     if (f & 1) {
       latency = l1 + beyond_l1[(f >> kLevel) & 3];
-      if ((f >> (kDtlb + slots.dtlb)) & 1) latency += lat.tlb_miss;
+      if ((f >> (kDtlb + slots.dtlb)) & 1) latency += kLatency.tlb_miss;
     }
     t.load_latency[f][lane] = static_cast<std::uint64_t>(latency);
   }
@@ -269,7 +126,7 @@ void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
   }
   // Wrong-path issue keeps the front end running: the machine resumes one
   // cycle earlier.
-  const int redirect = lat.mispredict_redirect;
+  const int redirect = kLatency.mispredict_redirect;
   t.mispredict_penalty[lane] = static_cast<std::uint64_t>(
       c.issue_wrong ? std::max(redirect - 1, 0) : redirect);
   t.width[lane] = static_cast<std::uint64_t>(c.width);
@@ -277,13 +134,14 @@ void fill_lane(LaneTables<N>& t, std::size_t lane, const ProcessorConfig& c,
   t.lsq[lane] = static_cast<std::uint64_t>(c.lsq_size);
 
   const std::array<int, detail::kOpClasses> op_latency{
-      lat.int_alu, lat.int_mult, lat.fp_alu, lat.fp_mult, lat.agen,
+      kLatency.int_alu, kLatency.int_mult, kLatency.fp_alu,
+      kLatency.fp_mult, kLatency.agen,
       // Stores retire once the address is generated.
-      lat.agen, lat.int_alu};
+      kLatency.agen, kLatency.int_alu};
   for (std::size_t op = 0; op < op_latency.size(); ++op) {
     t.op_latency[op] = static_cast<std::uint64_t>(op_latency[op]);
   }
-  t.decode = static_cast<std::uint64_t>(lat.decode_pipeline);
+  t.decode = static_cast<std::uint64_t>(kLatency.decode_pipeline);
 }
 
 /// A configuration's result from its cycle count and its group's
@@ -334,8 +192,8 @@ std::uint64_t time_one_lane(const LaneTables<1>& t,
 }
 
 /// Times one lane against `stream` through the one-lane kernel.
-SimResult time_one(const Lane& lane, const LatencyModel& latency,
-                   std::span<const Instr> trace, const OutcomeStream& stream) {
+SimResult time_one(const Lane& lane, std::span<const Instr> trace,
+                   const OutcomeStream& stream) {
   const ProcessorConfig& config = lane.config;
   require_outcomes(trace, stream.outcomes);
   config.validate();
@@ -344,7 +202,7 @@ SimResult time_one(const Lane& lane, const LatencyModel& latency,
 
   const ReachSlots in_group = group_slots(config, *lane.group);
   LaneTables<1> t{};
-  fill_lane(t, 0, config, latency, stream_slots(config, stream));
+  fill_lane(t, 0, config, stream_slots(config, stream));
   const FunctionalUnitMix& fu = config.fu;
   const bool wide_pools =
       std::max({fu.ialu, fu.imult, fu.memport, fu.fpalu, fu.fpmult}) > 4;
@@ -376,11 +234,10 @@ constexpr bool kHaveEightLanes = false;
 }  // namespace
 
 SimResult run_timing_pass(const ProcessorConfig& config,
-                          const LatencyModel& latency,
                           std::span<const Instr> trace,
                           std::span<const Outcome> outcomes,
                           const FunctionalStats& functional) {
-  return time_one({config, &functional}, latency, trace,
+  return time_one({config, &functional}, trace,
                   {outcomes, functional.itlb_reach_kb,
                    functional.dtlb_reach_kb});
 }
@@ -405,7 +262,6 @@ std::size_t detail::lane_width() noexcept {
 
 template <std::size_t N>
 void detail::run_timing_lanes(std::span<const Lane> lanes,
-                              const LatencyModel& latency,
                               std::span<const Instr> trace,
                               const OutcomeStream& stream,
                               LaneState<N>& state,
@@ -434,7 +290,7 @@ void detail::run_timing_lanes(std::span<const Lane> lanes,
   LaneTables<N> t{};
   for (std::size_t l = 0; l < N; ++l) {
     const std::size_t c = std::min(l, lanes.size() - 1);
-    fill_lane(t, l, lanes[c].config, latency, in_stream[c]);
+    fill_lane(t, l, lanes[c].config, in_stream[c]);
   }
   std::uint64_t cycles[N] = {};
   // Only the kernels this build carries are named; lanes_supported(N) is
@@ -452,40 +308,18 @@ void detail::run_timing_lanes(std::span<const Lane> lanes,
 }
 
 template void detail::run_timing_lanes<4>(std::span<const Lane>,
-                                          const LatencyModel&,
                                           std::span<const Instr>,
                                           const OutcomeStream&,
                                           LaneState<4>&,
                                           std::span<SimResult>);
 template void detail::run_timing_lanes<8>(std::span<const Lane>,
-                                          const LatencyModel&,
                                           std::span<const Instr>,
                                           const OutcomeStream&,
                                           LaneState<8>&,
                                           std::span<SimResult>);
 
 // ---------------------------------------------------------------------------
-// One configuration, and the batch
-
-OutOfOrderCore::OutOfOrderCore(const ProcessorConfig& config,
-                               const LatencyModel& latency)
-    : config_(config),
-      lat_(latency),
-      functional_(std::span<const ProcessorConfig>(&config_, 1)) {}
-
-SimResult OutOfOrderCore::run(std::span<const Instr> trace) {
-  std::vector<Outcome> outcomes(trace.size());
-  const FunctionalStats functional = functional_.run(trace, outcomes);
-  return run_timing_pass(config_, lat_, trace, outcomes, functional);
-}
-
-SimResult simulate(const ProcessorConfig& config, const Trace& trace) {
-  static metrics::Counter& instructions = metrics::counter("sim.instructions");
-  OutOfOrderCore core(config);
-  const SimResult result = core.run(trace.span());
-  instructions.add(trace.size());
-  return result;
-}
+// The batch, and one configuration
 
 namespace {
 
@@ -540,8 +374,7 @@ class UnitTimer {
     if (width_ == 8) next = time_vector<8>(stream);
     if (width_ == 4) next = time_vector<4>(stream);
     for (; next < distinct_.size(); ++next) {
-      timed_[next] =
-          time_one(distinct_[next], LatencyModel{}, trace_.span(), stream);
+      timed_[next] = time_one(distinct_[next], trace_.span(), stream);
     }
     std::size_t m = 0;
     for (const detail::UnitWalker::GroupView& g : groups) {
@@ -560,8 +393,7 @@ class UnitTimer {
     while (distinct_.size() - next >= kMinLanes) {
       const std::size_t count = std::min(N, distinct_.size() - next);
       detail::run_timing_lanes<N>(std::span(distinct_).subspan(next, count),
-                                  LatencyModel{}, trace_.span(), stream,
-                                  lane_state<N>(),
+                                  trace_.span(), stream, lane_state<N>(),
                                   std::span(timed_).subspan(next, count));
       next += count;
     }
@@ -636,6 +468,10 @@ std::vector<SimResult> simulate_batch(ThreadPool& pool,
 std::vector<SimResult> simulate_batch(std::span<const ProcessorConfig> configs,
                                       const Trace& trace) {
   return simulate_batch(ThreadPool::global(), configs, trace);
+}
+
+SimResult simulate(const ProcessorConfig& config, const Trace& trace) {
+  return simulate_batch(ThreadPool::global(), {&config, 1}, trace).front();
 }
 
 }  // namespace dsml::sim

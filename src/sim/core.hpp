@@ -26,33 +26,30 @@
 // trace order, never in timing order, so the *functional pass* walks the
 // trace through them once and records, per instruction, which level served
 // each access, the TLB misses and the mispredicts (an Outcome). The *timing
-// pass* turns those outcomes into latencies through the LatencyModel and
-// runs the width/RUU/LSQ/FU model. Configurations with one FunctionalKey
-// share one Outcome stream. FunctionalPass computes it for one group, as
-// simulate() does. simulate_batch builds one stream per L2 key (the key
-// without its L3) from state it shares across the batch
+// pass* turns those outcomes into latencies through one fixed latency table
+// and runs the width/RUU/LSQ/FU model. Configurations with one FunctionalKey
+// share one Outcome stream. simulate_batch builds one stream per L2 key (the
+// key without its L3) from state it shares across the batch
 // (sim/functional_streams.hpp): each TLB reach, predictor and L1 is walked
-// once per batch, and each L2 once for the key's two groups, which are
-// both timed against the L3-present group's stream.
+// once per batch, and each L2 once for the key's two groups, which are both
+// timed against the L3-present group's stream. simulate() is a batch of one
+// configuration.
 //
 // The timing kernel is one template over lanes (sim/timing_kernel.hpp). Its
-// one-lane instantiation times a single configuration: run_timing_pass,
-// simulate(), and every host without AVX2. Its vector instantiations time
-// up to eight configurations of one L2 key in one walk of the outcomes, one
-// per 64-bit vector lane: eight lanes of 512 bits with AVX-512F, four of
-// 256 bits with AVX2, whichever is the widest the host's cpuid reports.
-// simulate_batch uses them for L2 keys with three or more distinct
-// timings. Every instantiation gives bit-identical results.
+// one-lane instantiation times a single configuration: run_timing_pass, an
+// L2 key with one or two distinct timings, and every host without AVX2. Its
+// vector instantiations time up to eight configurations of one L2 key in one
+// walk of the outcomes, one per 64-bit vector lane: eight lanes of 512 bits
+// with AVX-512F, four of 256 bits with AVX2, whichever is the widest the
+// host's cpuid reports. simulate_batch uses them for L2 keys with three or
+// more distinct timings. Every instantiation gives bit-identical results.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "sim/branch.hpp"
-#include "sim/cache.hpp"
 #include "sim/config.hpp"
 #include "sim/trace.hpp"
 
@@ -82,26 +79,6 @@ struct SimResult {
   SimStats stats;
 };
 
-/// Latency table (cycles). These mirror common sim-outorder settings for an
-/// early-2000s deep pipeline; documented here so benches/tests can reason
-/// about them.
-struct LatencyModel {
-  int decode_pipeline = 3;      ///< fetch→dispatch depth
-  int int_alu = 1;
-  int int_mult = 3;
-  int fp_alu = 2;
-  int fp_mult = 4;
-  int agen = 1;                 ///< address generation before D$ access
-  int l1d_hit = 1;
-  int l1d_hit_large = 2;        ///< 64KB L1 pays one extra cycle
-  int l2_hit = 12;
-  int l2_hit_large = 15;        ///< 1MB L2 pays a little more
-  int l3_hit = 40;
-  int memory = 170;
-  int tlb_miss = 36;
-  int mispredict_redirect = 7;  ///< resolve→refetch penalty
-};
-
 /// What the functional pass saw for one instruction, in 16 bits: whether it
 /// started a new I$ line and which level served it, whether it is a load
 /// and which level served it, a TLB miss bit per reach slot, and whether it
@@ -109,9 +86,9 @@ struct LatencyModel {
 /// private to the two passes (sim/timing_kernel.hpp).
 using Outcome = std::uint16_t;
 
-/// Whole-trace counters of one functional pass. TLB statistics are per
-/// reach slot: a pass models every ITLB and DTLB reach its group needs (at
-/// most two of each; 0 marks an unused slot).
+/// Whole-trace counters of one functional group. TLB statistics are per
+/// reach slot: a group has a slot for every ITLB and DTLB reach its members
+/// use (at most two of each, in member order; 0 marks an unused slot).
 struct FunctionalStats {
   std::uint64_t branch_count = 0;
   std::uint64_t mispredicts = 0;
@@ -125,88 +102,36 @@ struct FunctionalStats {
   std::array<double, 2> dtlb_miss_rate{};
 };
 
-/// The functional pass for one group of configurations sharing a
-/// FunctionalKey: caches, TLBs and branch predictor, walked in trace order.
-/// State carries across run() calls, so a second run sees warm structures.
-/// The one-configuration path (OutOfOrderCore) runs it, and it is the
-/// reference simulate_batch's shared streams are tested against.
-class FunctionalPass {
- public:
-  /// Throws InvalidArgument on an empty or invalid group, keys that differ,
-  /// or more than two ITLB or DTLB reaches.
-  explicit FunctionalPass(std::span<const ProcessorConfig> group);
-
-  /// Writes one Outcome per instruction of `trace` into `outcomes` (same
-  /// size) and returns the pass's counters.
-  FunctionalStats run(std::span<const Instr> trace,
-                      std::span<Outcome> outcomes);
-
- private:
-  /// Level and TLB-miss bits of one access through `tlbs` and `l1`, then
-  /// the shared L2 and L3, updating every structure it touches.
-  Outcome access(std::uint64_t addr, std::vector<Tlb>& tlbs, Cache& l1,
-                 unsigned tlb_miss_shift, unsigned level_shift);
-
-  ProcessorConfig geometry_;
-  Cache l1d_;
-  Cache l1i_;
-  Cache l2_;
-  Cache l3_;  // constructed even when absent; gated by geometry_.has_l3()
-  std::array<int, 2> itlb_reach_kb_{};
-  std::array<int, 2> dtlb_reach_kb_{};
-  std::vector<Tlb> itlbs_;
-  std::vector<Tlb> dtlbs_;
-  std::unique_ptr<BranchPredictor> predictor_;
-};
-
-/// The timing pass: one configuration against the outcomes a functional
-/// pass of its group recorded for `trace`, through the one-lane kernel.
-/// Throws InvalidArgument when the pass did not model this configuration's
-/// TLB reaches.
+/// The timing pass: one configuration against the outcomes of its group
+/// for `trace`, with TLB bits at the group's reach slots, through the
+/// one-lane kernel. Throws InvalidArgument when the group did not model
+/// this configuration's TLB reaches.
 SimResult run_timing_pass(const ProcessorConfig& config,
-                          const LatencyModel& latency,
                           std::span<const Instr> trace,
                           std::span<const Outcome> outcomes,
                           const FunctionalStats& functional);
 
-/// One configuration: a functional pass of its own, then the timing pass.
-class OutOfOrderCore {
- public:
-  explicit OutOfOrderCore(const ProcessorConfig& config,
-                          const LatencyModel& latency = {});
-
-  /// Simulate a trace; returns total cycles and detailed statistics. The
-  /// first call starts from cold caches and predictors; later calls keep
-  /// their state (warm-up runs rely on that).
-  SimResult run(std::span<const Instr> trace);
-
- private:
-  ProcessorConfig config_;
-  LatencyModel lat_;
-  FunctionalPass functional_;
-};
-
-/// Facade: simulate one configuration against one trace. Counts
-/// sim.instructions (the trace's length).
+/// Simulate one configuration against one trace: a one-configuration
+/// simulate_batch on the global pool, so it throws and counts as that does.
 SimResult simulate(const ProcessorConfig& config, const Trace& trace);
 
 /// Simulate every configuration against one trace, cold, index-aligned
-/// with `configs` and bit-identical to simulate() on each. Throws
-/// InvalidArgument before simulating anything when a configuration is
-/// invalid. Configurations are grouped by FunctionalKey, and groups by L2
-/// key. The batch first walks every DTLB reach, predictor kind, fetch-line
-/// stream and L1 its groups need once (sim.l1_passes counts the L1D and
-/// L1I walks); then each worker of `pool` claims one L2 key at a time,
-/// walks its L2 and L3 once (sim.l2_passes) and composes one Outcome
-/// stream for the key's groups (sim.functional_passes). The key's distinct
-/// timings (perfect-predictor issue_wrong twins share one) are timed on
-/// the widest vector kernel the host runs, eight or four to a pass, while
-/// at least three remain, then one at a time; without AVX2 every timing
-/// takes a one-lane pass. Sets the gauge sim.lane_width to the kernel's
-/// width (8, 4 or 1). Counts sim.timing_passes (configurations timed),
-/// sim.lane_passes and sim.instructions (trace length x configurations),
-/// inside a sim.simulate_batch span whose sim.functional_streams child
-/// covers the shared walks.
+/// with `configs`; each result is the configuration's own, whatever else
+/// the batch holds. Throws InvalidArgument before simulating anything when
+/// a configuration is invalid. Configurations are grouped by FunctionalKey,
+/// and groups by L2 key. The batch first walks every DTLB reach, predictor
+/// kind, fetch-line stream and L1 its groups need once (sim.l1_passes
+/// counts the L1D and L1I walks); then each worker of `pool` claims one L2
+/// key at a time, walks its L2 and L3 once (sim.l2_passes) and composes one
+/// Outcome stream for the key's groups (sim.functional_passes). The key's
+/// distinct timings (perfect-predictor issue_wrong twins share one) are
+/// timed on the widest vector kernel the host runs, eight or four to a
+/// pass, while at least three remain, then one at a time; without AVX2
+/// every timing takes a one-lane pass. Sets the gauge sim.lane_width to the
+/// kernel's width (8, 4 or 1). Counts sim.timing_passes (configurations
+/// timed), sim.lane_passes and sim.instructions (trace length x
+/// configurations), inside a sim.simulate_batch span whose
+/// sim.functional_streams child covers the shared walks.
 std::vector<SimResult> simulate_batch(ThreadPool& pool,
                                       std::span<const ProcessorConfig> configs,
                                       const Trace& trace);

@@ -1,12 +1,12 @@
-// The functional state simulate_batch shares across a batch's functional
-// groups. Private to src/sim (core.cpp) and the tests that compare it with
-// FunctionalPass.
+// The functional pass of simulate_batch, and the state it shares across a
+// batch's functional groups. Private to src/sim (core.cpp) and the tests
+// that compare it with the reference (tests/support/reference_sim.hpp).
 //
-// FunctionalPass walks one group's TLBs, caches and predictor together, but
-// most of that state depends on only part of the group's FunctionalKey. A
-// batch therefore walks each part once, for only the keys its
-// configurations contain, and keeps what it saw as one bit per instruction
-// (a stream):
+// A group's outcomes come from walking its TLBs, caches and predictor
+// together, as the reference does, but most of that state depends on only
+// part of the group's FunctionalKey. A batch therefore walks each part
+// once, for only the keys its configurations contain, and keeps what it saw
+// as one bit per instruction (a stream):
 //
 //   stream                        key                             per sweep
 //   DTLB misses (loads, stores)   DTLB reach                              2
@@ -31,7 +31,7 @@
 // L3-present group's stream exactly: its L2 sees the same accesses, and its
 // timing prices level 2 (an L3 hit) as memory (timing_kernel.hpp). Read at
 // a group's reach slots, with level 2 read as memory for an L3-absent
-// group, the stream is what FunctionalPass::run gives the group, and so
+// group, the stream is what the reference's walk gives the group, and so
 // are the group's counters.
 #pragma once
 
@@ -103,7 +103,7 @@ class FunctionalStreams {
     std::array<MissStream, 2> itlb;  ///< by the batch's ITLB reach index
   };
   /// The configurations with one FunctionalKey, and their TLB reach slots
-  /// in member order, numbered as FunctionalPass numbers them.
+  /// in member order (FunctionalStats).
   struct Group {
     FunctionalKey key;
     std::vector<std::size_t> members;  ///< batch indices, ascending
@@ -163,7 +163,7 @@ class UnitWalker {
   /// One functional group of the walked unit.
   struct GroupView {
     std::span<const std::size_t> members;  ///< batch indices, ascending
-    FunctionalStats stats;  ///< as FunctionalPass::run gives the group
+    FunctionalStats stats;  ///< at the group's own reach slots
   };
   /// Called once per unit with its outcome stream, whose TLB bits sit at
   /// the batch's reach indices, and its one or two groups, L3-absent first;

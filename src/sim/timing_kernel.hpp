@@ -8,9 +8,9 @@
 // arithmetic:
 //
 //   OneLane<W, U>     (below)  one std::uint64_t per value, width W and pool
-//                              size U as constants. Single configurations,
-//                              simulate(), and every host without AVX2 run
-//                              this.
+//                              size U as constants. run_timing_pass, an L2
+//                              key's last one or two timings, and every
+//                              host without AVX2 run this.
 //   VectorLanes<N>    (below)  one 64-bit lane of a vector per
 //                              configuration: N = 4 in timing_avx2.cpp
 //                              (-mavx2, 256 bits), N = 8 in
@@ -93,7 +93,7 @@ constexpr std::uint64_t kNeverFree = std::uint64_t{1} << 62;
 constexpr std::size_t kOpClasses = 7;
 constexpr std::size_t kFieldValues = std::size_t{1} << outcome::kFieldBits;
 
-/// Everything the kernel needs from N configurations and the latency model,
+/// Everything the kernel needs from N configurations and the latency table,
 /// with the memory hierarchy folded into lookup tables indexed by an
 /// outcome's fetch and load fields. Per-lane entries are [entry][lane].
 template <std::size_t N>
@@ -134,9 +134,9 @@ struct LaneState {
 
 /// An outcome stream and the TLB reaches its miss bits stand for: bit slot
 /// s of the fetch (load) field is a miss at ITLB (DTLB) reach
-/// itlb_reach_kb[s] (dtlb_reach_kb[s]); 0 marks an unused slot.
-/// FunctionalPass numbers a group's reaches in member order
-/// (FunctionalStats); simulate_batch's streams use the batch's order.
+/// itlb_reach_kb[s] (dtlb_reach_kb[s]); 0 marks an unused slot. A group
+/// numbers its reaches in member order (FunctionalStats); simulate_batch's
+/// streams use the batch's order.
 struct OutcomeStream {
   std::span<const Outcome> outcomes;
   std::array<int, 2> itlb_reach_kb{};
@@ -168,7 +168,7 @@ std::size_t lane_width() noexcept;
 /// the lane's TLB reaches, and StateError when lanes_supported(N) is false.
 /// Instantiated for N = 4 and 8.
 template <std::size_t N>
-void run_timing_lanes(std::span<const Lane> lanes, const LatencyModel& latency,
+void run_timing_lanes(std::span<const Lane> lanes,
                       std::span<const Instr> trace,
                       const OutcomeStream& stream, LaneState<N>& state,
                       std::span<SimResult> results);

@@ -279,29 +279,4 @@ sim::Trace extract_intervals(const sim::Trace& trace,
   return out;
 }
 
-double weighted_cycle_estimate(const sim::ProcessorConfig& config,
-                               const sim::Trace& trace,
-                               const SimPoints& points) {
-  DSML_REQUIRE(!points.points.empty(), "weighted_cycle_estimate: no points");
-  double estimate = 0.0;
-  for (const SimPoint& p : points.points) {
-    const std::size_t begin = p.interval_index * points.interval_length;
-    sim::OutOfOrderCore core(config);
-    // Functional warmup (as in SimPoint practice): run the preceding
-    // interval through the same core first, so caches, TLBs and predictors
-    // are in a representative state — without it each interval pays
-    // whole-program cold-start costs and the estimate biases high.
-    if (p.interval_index > 0) {
-      const std::size_t warm_begin = begin - points.interval_length;
-      core.run(std::span<const sim::Instr>(
-          trace.instrs.data() + warm_begin, points.interval_length));
-    }
-    const sim::SimResult r = core.run(std::span<const sim::Instr>(
-        trace.instrs.data() + begin, points.interval_length));
-    estimate += p.weight * static_cast<double>(r.cycles) *
-                static_cast<double>(points.n_intervals);
-  }
-  return estimate;
-}
-
 }  // namespace dsml::workload

@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/config.hpp"
-#include "sim/core.hpp"
 #include "sim/trace.hpp"
 
 namespace dsml::workload {
@@ -74,12 +72,5 @@ SimPoints choose_simpoints(const sim::Trace& trace,
 /// Concatenate the representative intervals into one reduced trace (ordered
 /// by interval index). This is what the design-space sweep simulates.
 sim::Trace extract_intervals(const sim::Trace& trace, const SimPoints& points);
-
-/// SimPoint's weighted whole-run estimate: simulate each representative
-/// interval separately and extrapolate by cluster weights. Returns estimated
-/// total cycles for the full trace.
-double weighted_cycle_estimate(const sim::ProcessorConfig& config,
-                               const sim::Trace& trace,
-                               const SimPoints& points);
 
 }  // namespace dsml::workload

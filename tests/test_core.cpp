@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "sim/timing_kernel.hpp"
+#include "support/reference_sim.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -163,16 +167,6 @@ TEST(Core, MemoryBoundAppSlowerThanComputeApp) {
   EXPECT_LT(mcf.stats.ipc, applu.stats.ipc);
 }
 
-TEST(Core, CoreInstanceRunsOnce) {
-  // A core carries cache/predictor state; the facade builds a fresh core per
-  // simulation so results are cold-start reproducible.
-  OutOfOrderCore core(base_config());
-  const Trace trace = compute_trace();
-  const auto first = core.run(trace.span());
-  const auto second = core.run(trace.span());  // warm caches now
-  EXPECT_LE(second.cycles, first.cycles);
-}
-
 TEST(Core, IssueWrongChangesTiming) {
   ProcessorConfig off = base_config();
   ProcessorConfig on = base_config();
@@ -190,8 +184,8 @@ TEST(Core, FunctionalPassRejectsConfigurationsWithDifferentKeys) {
   ProcessorConfig other = base_config();
   other.l2_size_kb = 1024;
   const std::vector<ProcessorConfig> mixed{base_config(), other};
-  EXPECT_THROW(FunctionalPass{mixed}, InvalidArgument);
-  EXPECT_THROW(FunctionalPass{std::span<const ProcessorConfig>{}},
+  EXPECT_THROW(reference::FunctionalPass{mixed}, InvalidArgument);
+  EXPECT_THROW(reference::FunctionalPass{std::span<const ProcessorConfig>{}},
                InvalidArgument);
 }
 
@@ -202,9 +196,9 @@ TEST(Core, TimingPassNeedsItsTlbReachModelled) {
   big.dtlb_size_kb = 2048;
   const Trace trace = compute_trace();
   std::vector<Outcome> outcomes(trace.size());
-  FunctionalPass pass(std::span(&small, 1));
+  reference::FunctionalPass pass(std::span(&small, 1));
   const FunctionalStats stats = pass.run(trace.span(), outcomes);
-  EXPECT_THROW(run_timing_pass(big, {}, trace.span(), outcomes, stats),
+  EXPECT_THROW(run_timing_pass(big, trace.span(), outcomes, stats),
                InvalidArgument);
 }
 
@@ -219,7 +213,7 @@ TEST(Core, BatchMatchesSimulateOnAnySubset) {
   const std::vector<SimResult> batch = simulate_batch(configs, trace);
   ASSERT_EQ(batch.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const SimResult one = simulate(configs[i], trace);
+    const SimResult one = reference::simulate(configs[i], trace);
     EXPECT_EQ(batch[i].cycles, one.cycles) << configs[i].key();
     EXPECT_EQ(batch[i].stats.l1i_miss_rate, one.stats.l1i_miss_rate);
     EXPECT_EQ(batch[i].stats.dtlb_miss_rate, one.stats.dtlb_miss_rate);
@@ -246,14 +240,27 @@ TEST(Core, BatchRejectsAnInvalidConfigurationBeforeSimulating) {
   }
 }
 
-TEST(Core, LatencyModelScalesCycles) {
-  LatencyModel slow;
-  slow.memory = 400;
+TEST(Core, SimulateIsAOneConfigurationBatch) {
+  // One configuration: an L1D and an L1I walk, one L2 key, and one timing
+  // on the one-lane kernel, whatever the host's vector width.
   const Trace trace = memory_heavy_trace();
-  OutOfOrderCore fast_core(base_config());
-  OutOfOrderCore slow_core(base_config(), slow);
-  EXPECT_LT(fast_core.run(trace.span()).cycles,
-            slow_core.run(trace.span()).cycles);
+  const std::vector<std::pair<const char*, std::uint64_t>> expected{
+      {"sim.functional_passes", 1}, {"sim.timing_passes", 1},
+      {"sim.l1_passes", 2},         {"sim.l2_passes", 1},
+      {"sim.lane_passes", 0},       {"sim.instructions", trace.size()}};
+  std::vector<std::uint64_t> before;
+  for (const auto& e : expected) {
+    before.push_back(metrics::counter(e.first).value());
+  }
+  metrics::Gauge& lane_width = metrics::gauge("sim.lane_width");
+  lane_width.set(0);
+  simulate(base_config(), trace);
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(metrics::counter(expected[k].first).value() - before[k],
+              expected[k].second)
+        << expected[k].first;
+  }
+  EXPECT_EQ(lane_width.value(), static_cast<double>(detail::lane_width()));
 }
 
 }  // namespace

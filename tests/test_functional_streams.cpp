@@ -1,13 +1,13 @@
 // The shared functional streams (sim/functional_streams.hpp) against their
-// reference, FunctionalPass. A batch composes one Outcome stream per unit
-// (L2 key), the L3-present group's when the unit has one, with TLB bits at
-// the batch's reach indices. Read at each group's own reach slots, and with
-// level 2 read as memory for an L3-absent group, it must equal what
-// FunctionalPass::run gives that group on the same trace, and every
-// group's FunctionalStats must equal the pass's. Streams are built on a
-// four-thread pool and units walked by per-worker walkers, as
-// simulate_batch does, so a worker's caches must be reset between the
-// units it walks.
+// reference, reference::FunctionalPass (support/reference_sim.hpp). A batch
+// composes one Outcome stream per unit (L2 key), the L3-present group's
+// when the unit has one, with TLB bits at the batch's reach indices. Read
+// at each group's own reach slots, and with level 2 read as memory for an
+// L3-absent group, it must equal what the reference's run gives that group
+// on the same trace, and every group's FunctionalStats must equal the
+// pass's. Streams are built on a four-thread pool and units walked by
+// per-worker walkers, as simulate_batch does, so a worker's caches must be
+// reset between the units it walks.
 #include "sim/functional_streams.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "common/thread_pool.hpp"
 #include "dse/sweep.hpp"
+#include "support/reference_sim.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -67,8 +68,8 @@ std::optional<Outcome> as_group_records(Outcome o,
   return static_cast<Outcome>(out);
 }
 
-/// How one group of a composed unit differs from FunctionalPass::run on its
-/// members; empty when it does not.
+/// How one group of a composed unit differs from the reference's
+/// FunctionalPass::run on its members; empty when it does not.
 std::string compare_with_functional_pass(
     std::span<const ProcessorConfig> configs, const Trace& trace,
     const detail::OutcomeStream& stream,
@@ -78,7 +79,7 @@ std::string compare_with_functional_pass(
     group.push_back(configs[idx]);
   }
   std::vector<Outcome> expected(trace.size());
-  FunctionalPass pass(group);
+  reference::FunctionalPass pass(group);
   const FunctionalStats want = pass.run(trace.span(), expected);
   const FunctionalStats& stats = group_view.stats;
   const bool has_l3 = group.front().has_l3();
@@ -260,14 +261,14 @@ TEST(FunctionalStreams, L3AbsentConfigurationsTimeAlikeOnTheirL3TwinsStream) {
       std::vector<Outcome> own(trace.size());
       std::vector<Outcome> twin(trace.size());
       const FunctionalStats own_stats =
-          FunctionalPass(absent).run(trace.span(), own);
+          reference::FunctionalPass(absent).run(trace.span(), own);
       const FunctionalStats twin_stats =
-          FunctionalPass(*keys[k].second).run(trace.span(), twin);
+          reference::FunctionalPass(*keys[k].second).run(trace.span(), twin);
       for (const ProcessorConfig& c : absent) {
         const std::uint64_t want =
-            run_timing_pass(c, {}, trace.span(), own, own_stats).cycles;
+            run_timing_pass(c, trace.span(), own, own_stats).cycles;
         const std::uint64_t got =
-            run_timing_pass(c, {}, trace.span(), twin, twin_stats).cycles;
+            run_timing_pass(c, trace.span(), twin, twin_stats).cycles;
         if (got != want && diffs[k].empty()) {
           diffs[k] = c.key() + ": " + std::to_string(got) +
                      " cycles on the twin's stream, " + std::to_string(want) +

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/core.hpp"
+#include "support/reference_sim.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -237,10 +238,10 @@ TEST(FunctionalKey, PerfectPredictorIssueWrongTwinsAreIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// The batch against the one-config path. simulate_batch shares predictor,
-// TLB and L1 streams across a batch's groups and walks each L2 once per L3
-// pair; simulate() runs one FunctionalPass. Every batch must give every
-// configuration what simulate() gives it.
+// The batch against the reference. simulate_batch shares predictor, TLB and
+// L1 streams across a batch's groups and walks each L2 once per L3 pair;
+// reference::simulate runs one FunctionalPass per configuration. Every batch
+// must give every configuration what the reference gives it.
 
 /// Traces aimed at the shared streams' edges, cut from one gcc trace.
 std::vector<std::pair<std::string, Trace>> edge_traces() {
@@ -347,14 +348,14 @@ std::vector<ProcessorConfig> split_reach_batch(
   return batch;
 }
 
-void expect_batch_matches_simulate(ThreadPool& pool,
-                                   const std::vector<ProcessorConfig>& batch,
-                                   const Trace& trace,
-                                   const std::string& context) {
+void expect_batch_matches_reference(ThreadPool& pool,
+                                    const std::vector<ProcessorConfig>& batch,
+                                    const Trace& trace,
+                                    const std::string& context) {
   const std::vector<SimResult> results = simulate_batch(pool, batch, trace);
   ASSERT_EQ(results.size(), batch.size()) << context;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_identical(results[i], simulate(batch[i], trace),
+    expect_identical(results[i], reference::simulate(batch[i], trace),
                      context + ", configuration " + std::to_string(i) + " " +
                          batch[i].key());
   }
@@ -372,19 +373,19 @@ TEST(BatchProperty, RandomSubsetsMatchSimulateOnRandomTraces) {
     const std::string context = std::string(app) + " trace " +
                                 std::to_string(t);
     for (int b = 0; b < 3; ++b) {
-      expect_batch_matches_simulate(pool, random_batch(rng, space), trace,
-                                    context + ", random batch " +
-                                        std::to_string(b));
-      expect_batch_matches_simulate(pool, split_reach_batch(rng, space),
-                                    trace,
-                                    context + ", split-reach batch " +
-                                        std::to_string(b));
+      expect_batch_matches_reference(pool, random_batch(rng, space), trace,
+                                     context + ", random batch " +
+                                         std::to_string(b));
+      expect_batch_matches_reference(pool, split_reach_batch(rng, space),
+                                     trace,
+                                     context + ", split-reach batch " +
+                                         std::to_string(b));
     }
     const auto crafted = crafted_batches(space);
     for (std::size_t b = 0; b < crafted.size(); ++b) {
-      expect_batch_matches_simulate(pool, crafted[b], trace,
-                                    context + ", crafted batch " +
-                                        std::to_string(b));
+      expect_batch_matches_reference(pool, crafted[b], trace,
+                                     context + ", crafted batch " +
+                                         std::to_string(b));
     }
   }
 }
@@ -396,19 +397,19 @@ TEST(BatchProperty, RandomSubsetsMatchSimulateOnEdgeTraces) {
   for (const auto& [name, trace] : edge_traces()) {
     ASSERT_FALSE(trace.instrs.empty()) << name;
     for (int b = 0; b < 2; ++b) {
-      expect_batch_matches_simulate(pool, random_batch(rng, space), trace,
-                                    name + ", random batch " +
-                                        std::to_string(b));
-      expect_batch_matches_simulate(pool, split_reach_batch(rng, space),
-                                    trace,
-                                    name + ", split-reach batch " +
-                                        std::to_string(b));
+      expect_batch_matches_reference(pool, random_batch(rng, space), trace,
+                                     name + ", random batch " +
+                                         std::to_string(b));
+      expect_batch_matches_reference(pool, split_reach_batch(rng, space),
+                                     trace,
+                                     name + ", split-reach batch " +
+                                         std::to_string(b));
     }
     const auto crafted = crafted_batches(space);
     for (std::size_t b = 0; b < crafted.size(); ++b) {
-      expect_batch_matches_simulate(pool, crafted[b], trace,
-                                    name + ", crafted batch " +
-                                        std::to_string(b));
+      expect_batch_matches_reference(pool, crafted[b], trace,
+                                     name + ", crafted batch " +
+                                         std::to_string(b));
     }
   }
 }

@@ -1,8 +1,9 @@
 // The simulator golden: every cycle count of the full design space for all
 // five apps (as one hash per app) and every SimStats field for eight fixed
 // configurations, at the fidelity test_fleet.cpp sweeps at. The batch path
-// must reproduce it with one and with four pool threads, and the one-config
-// path (simulate) must agree with the batch on the eight configurations.
+// must reproduce it with one and with four pool threads, and on the eight
+// configurations so must simulate(), a one-configuration batch, and the
+// frozen reference (support/reference_sim.hpp), which no code in src/ runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "common/thread_pool.hpp"
 #include "dse/sweep.hpp"
 #include "sim/core.hpp"
+#include "support/reference_sim.hpp"
 
 #ifndef DSML_REPO_ROOT
 #error "DSML_REPO_ROOT must be defined by the build"
@@ -131,7 +133,10 @@ TEST(SimGolden, BatchMatchesWithFourPoolThreads) {
   expect_golden(batch_lines(pool), "4 pool threads");
 }
 
-TEST(SimGolden, OneConfigPathMatchesTheStatsLines) {
+/// Compares the golden's stats lines with `simulate_one` on each of their
+/// configurations.
+template <class Simulate>
+void expect_stats_lines(Simulate simulate_one) {
   const std::vector<ProcessorConfig> space = enumerate_design_space();
   const std::vector<std::string> golden = golden_lines();
   std::size_t line = 0;
@@ -142,10 +147,18 @@ TEST(SimGolden, OneConfigPathMatchesTheStatsLines) {
     for (const std::size_t idx : kStatsConfigs) {
       ASSERT_LT(line, golden.size());
       EXPECT_EQ(stats_line(app, idx, space[idx],
-                           simulate(space[idx], reduced.trace)),
+                           simulate_one(space[idx], reduced.trace)),
                 golden[line++]);
     }
   }
+}
+
+TEST(SimGolden, OneConfigPathMatchesTheStatsLines) {
+  expect_stats_lines(simulate);
+}
+
+TEST(SimGolden, ReferenceMatchesTheStatsLines) {
+  expect_stats_lines(reference::simulate);
 }
 
 TEST(SimGolden, PublicSweepMatchesTheHash) {

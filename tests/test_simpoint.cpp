@@ -179,21 +179,5 @@ TEST(ExtractIntervals, ConcatenatesRepresentatives) {
   EXPECT_EQ(reduced.instrs.front().pc, trace.instrs[first].pc);
 }
 
-TEST(WeightedEstimate, WithinFullSimulationBallpark) {
-  const auto trace = generate_trace(spec_profile("applu"), 60000);
-  const auto points = choose_simpoints(trace, 5000, 4);
-  sim::ProcessorConfig config;
-  const auto full = sim::simulate(config, trace);
-  const double estimate = weighted_cycle_estimate(config, trace, points);
-  // SimPoint's promise: the extrapolated estimate tracks full simulation.
-  // The band is generous (40%) because each representative interval is
-  // simulated from a cold cache state at this tiny scale, which biases the
-  // estimate high — the real SimPoint mitigates this with warmup, and the
-  // bias shrinks with interval length.
-  EXPECT_NEAR(estimate, static_cast<double>(full.cycles),
-              0.40 * static_cast<double>(full.cycles));
-  EXPECT_GE(estimate, static_cast<double>(full.cycles) * 0.75);
-}
-
 }  // namespace
 }  // namespace dsml::workload

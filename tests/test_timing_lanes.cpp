@@ -2,6 +2,7 @@
 // (sim/timing_kernel.hpp): every lane of a vector pass must equal
 // run_timing_pass, the one-lane kernel, on the same configuration against
 // its own group's functional pass, in cycles and in every SimStats field.
+// The functional passes are the reference's (support/reference_sim.hpp).
 // Every vector kernel the host runs is checked (four lanes with AVX2, eight
 // with AVX-512F), including lanes from both groups of an L2 key on the
 // L3-present group's stream, as simulate_batch times them. A kernel the
@@ -22,6 +23,7 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "support/reference_sim.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -73,7 +75,7 @@ Functional run_functional(const std::vector<ProcessorConfig>& group,
                           const Trace& trace) {
   Functional f;
   f.outcomes.resize(trace.size());
-  FunctionalPass pass(group);
+  reference::FunctionalPass pass(group);
   f.stats = pass.run(trace.span(), f.outcomes);
   return f;
 }
@@ -99,12 +101,12 @@ void expect_kernel_matches(const std::vector<Timed>& timed,
   for (const Timed& t : timed) lanes.push_back({t.config, &t.own->stats});
   auto state = std::make_unique<LaneState<N>>();
   std::vector<SimResult> results(lanes.size());
-  detail::run_timing_lanes<N>(lanes, {}, trace.span(), on.stream(), *state,
+  detail::run_timing_lanes<N>(lanes, trace.span(), on.stream(), *state,
                               results);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     const Timed& t = timed[l];
     expect_same(results[l],
-                run_timing_pass(t.config, {}, trace.span(), t.own->outcomes,
+                run_timing_pass(t.config, trace.span(), t.own->outcomes,
                                 t.own->stats),
                 context + ", " + std::to_string(N) + " lanes, lane " +
                     std::to_string(l) + " " + t.config.key());
@@ -486,7 +488,7 @@ void expect_bad_lanes_rejected(const Trace& trace) {
   std::vector<SimResult> results(N + 1);
   const auto run = [&](const std::vector<detail::Lane>& lanes,
                        const Functional& on) {
-    detail::run_timing_lanes<N>(lanes, {}, trace.span(), on.stream(), *state,
+    detail::run_timing_lanes<N>(lanes, trace.span(), on.stream(), *state,
                                 std::span(results).first(lanes.size()));
   };
   const std::string context = std::to_string(N) + " lanes";
@@ -496,7 +498,7 @@ void expect_bad_lanes_rejected(const Trace& trace) {
       << context;
   EXPECT_THROW(run({}, f), InvalidArgument) << context;
   EXPECT_THROW(detail::run_timing_lanes<N>(
-                   {&one_small, 1}, {}, trace.span(), f.stream(), *state,
+                   {&one_small, 1}, trace.span(), f.stream(), *state,
                    std::span(results).first(2)),
                InvalidArgument)
       << context;
@@ -519,7 +521,7 @@ TEST_F(TimingLanes, RejectsBadLaneCountsAndUnmodelledReaches) {
       std::vector<SimResult> result(1);
       if (k.lanes == 8) {
         auto state = std::make_unique<LaneState<8>>();
-        EXPECT_THROW(detail::run_timing_lanes<8>({&lane, 1}, {}, trace.span(),
+        EXPECT_THROW(detail::run_timing_lanes<8>({&lane, 1}, trace.span(),
                                                  f.stream(), *state, result),
                      StateError);
       }
@@ -575,7 +577,7 @@ TEST_F(TimingLanes, BatchTimesGroupsOfThreeOrMoreInLanes) {
     EXPECT_EQ(timing_passes.value() - timing0, k) << k << " timings";
     EXPECT_EQ(lane_width.value(), static_cast<double>(width));
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      expect_same(batch[i], simulate(configs[i], trace),
+      expect_same(batch[i], reference::simulate(configs[i], trace),
                   std::to_string(k) + " timings, " + configs[i].key());
     }
   }
@@ -593,7 +595,7 @@ TEST_F(TimingLanes, BatchTimesGroupsOfThreeOrMoreInLanes) {
         << k << " timings per group";
     EXPECT_EQ(timing_passes.value() - timing0, 2 * k);
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      expect_same(batch[i], simulate(configs[i], trace),
+      expect_same(batch[i], reference::simulate(configs[i], trace),
                   std::to_string(k) + " timings per group, " +
                       configs[i].key());
     }
