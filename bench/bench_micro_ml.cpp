@@ -65,8 +65,7 @@ void BM_PredictLinearRegression(benchmark::State& state) {
 // materializes a fit half and a holdout half; keeping those copies (rather
 // than teaching every model a row-index view) is justified by this number:
 // one split costs microseconds while the fold's model fit costs milliseconds
-// to seconds (see BM_Fit* above and the estimate_error.select_rows_copy
-// section of BENCH_ML.json / docs/PERFORMANCE.md).
+// to seconds (see BM_Fit* above and docs/PERFORMANCE.md).
 void BM_SelectRowsHalfSplit(benchmark::State& state) {
   const data::Dataset& train = train_data();
   Rng rng(7);

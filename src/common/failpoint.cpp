@@ -68,14 +68,13 @@ ErrorType parse_error_type(const std::string& name, const std::string& spec) {
       "' (NumericalError|IoError|InvalidArgument|StateError|TrainingError)");
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& spec) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
+std::uint64_t parse_count(const std::string& text, const std::string& spec) {
+  try {
+    return strings::parse_u64(text);
+  } catch (const IoError&) {
     throw InvalidArgument("failpoints: bad integer '" + text + "' in '" +
                           spec + "'");
   }
-  return v;
 }
 
 double parse_probability(const std::string& text, const std::string& spec) {
@@ -93,7 +92,7 @@ Point parse_trigger(const std::string& trigger, const std::string& entry) {
   Point p;
   if (trigger.rfind("nth:", 0) == 0) {
     p.trigger = Trigger::kNth;
-    p.nth = parse_u64(trigger.substr(4), entry);
+    p.nth = parse_count(trigger.substr(4), entry);
     if (p.nth == 0) {
       throw InvalidArgument("failpoints: nth index must be >= 1 in '" +
                             entry + "'");
@@ -110,7 +109,7 @@ Point parse_trigger(const std::string& trigger, const std::string& entry) {
     }
     p.trigger = Trigger::kProb;
     p.probability = parse_probability(rest.substr(0, at), entry);
-    p.seed = parse_u64(rest.substr(at + 1), entry);
+    p.seed = parse_count(rest.substr(at + 1), entry);
     return p;
   }
   if (trigger.rfind("err:", 0) == 0) {

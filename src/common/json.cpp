@@ -101,8 +101,16 @@ class Parser {
   Value parse_value() {
     skip_whitespace();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.string_ = parse_string();
@@ -234,7 +242,7 @@ class Parser {
             }
           }
           // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // the bench artifacts are ASCII).
+          // the repo's documents are ASCII).
           if (code < 0x80U) {
             out.push_back(static_cast<char>(code));
           } else if (code < 0x800U) {
@@ -282,6 +290,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open at pos_
 };
 
 Value Value::parse(std::string_view text) {

@@ -1,21 +1,26 @@
 // Minimal JSON support: a streaming writer and a small recursive-descent
 // parser.
 //
-// The perf-bench harness (`dsml bench --json`) emits machine-readable
-// BENCH_ML.json artifacts and re-reads committed ones to gate on error
-// drift, so we need both directions but only for plain data: objects,
-// arrays, numbers, strings, booleans, null. No external dependency is worth
-// that little surface.
+// The serve and fleet protocols exchange JSON lines, and `dsml loadgen`,
+// `dsml stats --json` and the trace exporter write JSON reports that
+// loadgen's --check re-reads (BENCH_SERVE.json), so we need both
+// directions but only for plain data: objects, arrays, numbers, strings,
+// booleans, null. No external dependency is worth that little surface.
 //
 // Writer output is deterministic (insertion order, fixed indentation,
 // round-trippable '%.17g' numbers). JSON has no NaN/Inf literal, so
 // non-finite doubles are emitted as the string sentinels "NaN", "Infinity",
 // and "-Infinity", which the Parser maps back to number values — a
-// non-finite bench entry round-trips as a (non-finite) number instead of
+// non-finite entry round-trips as a (non-finite) number instead of
 // silently becoming null. Those three strings are therefore reserved as
 // values; writing them via value(std::string_view) round-trips as numbers.
+//
+// The parser recurses once per nesting level, so it refuses documents
+// nested deeper than kMaxDepth: a request line of a few hundred thousand
+// '[' must be a parse error, not a stack overflow.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +29,10 @@
 #include <vector>
 
 namespace dsml::json {
+
+/// The deepest nesting of arrays and objects the parser accepts. The repo's
+/// own documents nest a handful of levels.
+inline constexpr std::size_t kMaxDepth = 256;
 
 /// A parsed JSON document node. Objects preserve key order.
 class Value {
@@ -48,7 +57,8 @@ class Value {
   const std::vector<std::pair<std::string, Value>>& fields() const;
 
   /// Parses a complete document; trailing non-whitespace is an error.
-  /// Throws IoError with position context on malformed input.
+  /// Throws IoError with position context on malformed input, and on
+  /// nesting deeper than kMaxDepth.
   static Value parse(std::string_view text);
 
   /// Reads and parses a file; throws IoError if unreadable.

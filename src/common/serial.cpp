@@ -1,7 +1,10 @@
 #include "common/serial.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/strings.hpp"
 
 namespace dsml::serial {
 
@@ -76,13 +79,12 @@ std::string Reader::tag() { return token(); }
 
 std::uint64_t Reader::u64() {
   const std::string t = token();
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(t.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  try {
+    return strings::parse_u64(t);
+  } catch (const IoError&) {
     throw IoError("serial: bad u64 '" + t + "' before byte " +
                   std::to_string(offset()));
   }
-  return v;
 }
 
 std::int64_t Reader::i64() {
@@ -111,7 +113,7 @@ bool Reader::boolean() { return u64() != 0; }
 
 std::string Reader::str() {
   // Skip whitespace, read "<len>:<bytes>".
-  std::size_t len = 0;
+  std::uint64_t len = 0;
   char c;
   if (!(in_ >> c)) fail_truncated();
   std::string digits;
@@ -123,19 +125,36 @@ std::string Reader::str() {
     digits += c;
     if (!in_.get(c)) fail_truncated();
   }
-  len = std::strtoull(digits.c_str(), nullptr, 10);
-  std::string s(len, '\0');
-  if (len > 0 && !in_.read(s.data(), static_cast<std::streamsize>(len))) {
-    throw IoError("serial: truncated string (wanted " + std::to_string(len) +
-                  " bytes) at byte " + std::to_string(offset()));
+  try {
+    len = strings::parse_u64(digits);
+  } catch (const IoError&) {
+    throw IoError("serial: bad string length '" + digits + "' before byte " +
+                  std::to_string(offset()));
+  }
+  // The string grows only by bytes actually read, so a corrupt length
+  // fails as truncation instead of allocating it up front.
+  constexpr std::size_t kChunk = 4096;
+  std::string s;
+  for (std::uint64_t left = len; left > 0;) {
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, kChunk));
+    const std::size_t done = s.size();
+    s.resize(done + n);
+    if (!in_.read(s.data() + done, static_cast<std::streamsize>(n))) {
+      throw IoError("serial: truncated string (wanted " +
+                    std::to_string(len) + " bytes) at byte " +
+                    std::to_string(offset()));
+    }
+    left -= n;
   }
   return s;
 }
 
+// Vectors grow element by element, not by their declared count: a corrupt
+// count fails as truncation after the elements that are there.
 std::vector<double> Reader::f64_vector() {
   const std::uint64_t n = u64();
   std::vector<double> v;
-  v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
   return v;
 }
@@ -143,7 +162,6 @@ std::vector<double> Reader::f64_vector() {
 std::vector<std::uint64_t> Reader::u64_vector() {
   const std::uint64_t n = u64();
   std::vector<std::uint64_t> v;
-  v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
   return v;
 }

@@ -8,11 +8,11 @@
 // thread pool and kernels feed the companion metrics registry
 // (common/metrics.hpp) for the aggregate view.
 //
-// Overhead contract (pinned by tests/test_trace.cpp and the bench drift
-// gate): when tracing is disabled — the default — every hook is one relaxed
-// atomic load and a branch; no clock is read, no string is built, no lock is
-// taken. Model outputs are bit-identical with tracing on or off, because the
-// layer only *observes* (spans never branch the computation).
+// Overhead contract (pinned by tests/test_trace.cpp): when tracing is
+// disabled — the default — every hook is one relaxed atomic load and a
+// branch; no clock is read, no string is built, no lock is taken. Model
+// outputs are bit-identical with tracing on or off, because the layer only
+// *observes* (spans never branch the computation).
 //
 // Enabling:
 //  - environment: DSML_TRACE=<file> traces the whole process and writes the

@@ -338,15 +338,15 @@ std::vector<double> LinearRegression::predict(
     const data::Dataset& dataset) const {
   DSML_REQUIRE(fit_.has_value(), "LinearRegression::predict: not fitted");
   const linalg::Matrix x = encoder_.encode(dataset);
-  // Shape-aware kernel choice (measured by tools/bench_ml.cpp's lr_predict
-  // section): the fused gather GEMV beats materialising the column subset at
-  // every sparse selection — the copy is a full extra pass over data read
-  // exactly once — but when the stepwise fit kept a *prefix* of the design
-  // (every column 0..k-1, the common Enter-method outcome) the gather
-  // indirection is pure overhead and the dense GEMV reads the design matrix
-  // in place. Both kernels accumulate each row in ascending column order, so
-  // the choice is invisible: results are bit-identical either way. Chunked
-  // over the pool for full-design-space batches.
+  // Shape-aware kernel choice: the fused gather GEMV beats materialising
+  // the column subset at every sparse selection — the copy is a full extra
+  // pass over data read exactly once — but when the stepwise fit kept a
+  // *prefix* of the design (every column 0..k-1) the gather indirection is
+  // pure overhead and the dense GEMV reads the design matrix in place. Both
+  // kernels accumulate each row in ascending column order, so the choice is
+  // invisible: results are bit-identical either way, and to the copying
+  // pipeline (Backend.LinearRegressionPredictBackendInvariant runs both
+  // branches). Chunked over the pool for full-design-space batches.
   std::vector<double> out(x.rows());
   bool prefix_selection = true;
   for (std::size_t k = 0; k < fit_->columns.size() && prefix_selection; ++k) {

@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
+#include "data/encoder.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "ml/linreg.hpp"
@@ -198,7 +199,11 @@ TEST(Backend, AffineForwardBitIdenticalAcrossBackends) {
 }
 
 // Model-level pin: a full LinearRegression predict over the design space is
-// bit-identical whichever backend serves the kernels.
+// bit-identical whichever backend serves the kernels, and to the copying
+// pipeline (encode, select_columns, multiply) on both of its branches: the
+// backward fit's sparse selection takes the gather GEMV, and an enter fit
+// capped at three predictors keeps the prefix 0..3, which takes the dense
+// GEMV over the design matrix in place.
 TEST(Backend, LinearRegressionPredictBackendInvariant) {
   const auto configs = sim::enumerate_design_space();
   std::vector<double> cycles;
@@ -212,15 +217,46 @@ TEST(Backend, LinearRegressionPredictBackendInvariant) {
   for (std::size_t i = 0; i < full.n_rows(); i += 9) idx.push_back(i);
   const data::Dataset train = full.select_rows(idx);
 
-  ml::LinearRegression model;
-  model.fit(train);
-  std::vector<std::vector<double>> results;
-  for (Backend backend : kAll) {
-    ScopedBackend pin(backend);
-    results.push_back(model.predict(full));
+  // The encoder LinearRegression::fit builds.
+  data::EncoderOptions enc;
+  enc.mode = data::EncodingMode::kLinearRegression;
+  enc.scale_inputs = true;
+  enc.scale_target = false;
+  enc.drop_constant = true;
+  enc.add_intercept = true;
+  data::Encoder encoder;
+  encoder.fit(train, enc);
+  const Matrix x = encoder.encode(full);
+
+  const struct {
+    ml::LinRegMethod method;
+    std::size_t max_predictors;
+    bool prefix;
+  } cases[] = {{ml::LinRegMethod::kBackward, 0, false},
+               {ml::LinRegMethod::kEnter, 3, true}};
+  for (const auto& c : cases) {
+    ml::LinearRegression::Options options;
+    options.method = c.method;
+    options.max_predictors = c.max_predictors;
+    ml::LinearRegression model(options);
+    model.fit(train);
+    const std::vector<std::size_t>& columns = model.ols().columns;
+    bool prefix = true;
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      prefix = prefix && columns[k] == k;
+    }
+    ASSERT_EQ(prefix, c.prefix) << ml::to_string(c.method);
+    const std::vector<double> copied =
+        x.select_columns(columns).multiply(model.ols().beta);
+    std::vector<std::vector<double>> results;
+    for (Backend backend : kAll) {
+      ScopedBackend pin(backend);
+      results.push_back(model.predict(full));
+    }
+    EXPECT_TRUE(same_bits(results[0], results[1])) << ml::to_string(c.method);
+    EXPECT_TRUE(same_bits(results[0], results[2])) << ml::to_string(c.method);
+    EXPECT_TRUE(same_bits(results[0], copied)) << ml::to_string(c.method);
   }
-  EXPECT_TRUE(same_bits(results[0], results[1]));
-  EXPECT_TRUE(same_bits(results[0], results[2]));
 }
 
 }  // namespace

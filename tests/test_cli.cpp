@@ -10,6 +10,7 @@
 #include "common/csv.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "data/column.hpp"
 #include "engine/design_space.hpp"
 #include "engine/registry.hpp"
@@ -151,9 +152,13 @@ TEST_F(CliTest, LintSubcommandRejectsMissingPath) {
 }
 
 TEST_F(CliTest, UnknownCommandFails) {
-  const auto result = run_cli({"frobnicate"});
-  EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.err.find("unknown command"), std::string::npos);
+  for (const std::string command : {"frobnicate", "bench"}) {
+    const auto result = run_cli({command});
+    EXPECT_EQ(result.exit_code, 1) << command;
+    EXPECT_NE(result.err.find("unknown command '" + command + "'"),
+              std::string::npos)
+        << result.err;
+  }
 }
 
 TEST_F(CliTest, MissingOptionValueFails) {
@@ -187,7 +192,6 @@ TEST_F(CliTest, UnknownFlagsFailNamingCommandAndFlag) {
       {{"fleet", "--app", "mcf", "--worker", "2"}, "--worker"},
       {{"loadgen", "--connect", "127.0.0.1:1", "--conections", "2"},
        "--conections"},
-      {{"bench", "--fast", "--jsn", "out.json"}, "--jsn"},
       {{"list", "stray"}, "'stray'"},
   };
   for (const auto& c : cases) {
@@ -534,6 +538,20 @@ TEST_F(CliTest, TraceFlagWritesChromeTraceFile) {
   }
   EXPECT_TRUE(found_command_span);
   std::filesystem::remove(trace_path);
+
+  // A failing command still writes its trace, and tracing stops with it.
+  const auto failed =
+      run_cli({"--trace", trace_path, "sweep", "--app", "nope"});
+  EXPECT_EQ(failed.exit_code, 1);
+  EXPECT_FALSE(trace::enabled());
+  ASSERT_TRUE(std::filesystem::exists(trace_path));
+  const json::Value failed_doc = json::Value::parse_file(trace_path);
+  bool found_failed_span = false;
+  for (const auto& e : failed_doc.at("traceEvents").items()) {
+    if (e.at("name").as_string() == "dsml sweep") found_failed_span = true;
+  }
+  EXPECT_TRUE(found_failed_span);
+  std::filesystem::remove(trace_path);
 }
 
 TEST_F(CliTest, TraceFlagWithoutFileFails) {
@@ -729,7 +747,8 @@ TEST_F(CliTest, ServeAnswersRequestsAndSurvivesBadLines) {
 
   const std::string input =
       "{\"rows\": [" + design_row_json(0) + "," + design_row_json(7) + "]}\n"
-      "this is not json\n"
+      "this is not json\n" +
+      std::string(200000, '[') + "\n"
       "{\"model\": \"nope\", \"rows\": [" + design_row_json(0) + "]}\n";
   const auto result =
       run_cli({"serve", "--models", "applu=" + model_path}, input);
@@ -744,6 +763,10 @@ TEST_F(CliTest, ServeAnswersRequestsAndSurvivesBadLines) {
   EXPECT_EQ(good.at("model").as_string(), "applu");
   EXPECT_EQ(good.at("predictions").items().size(), 2u);
 
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_FALSE(json::Value::parse(line).at("ok").as_bool());
+
+  // Nesting too deep to parse is one bad line, not a crash.
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_FALSE(json::Value::parse(line).at("ok").as_bool());
 
@@ -990,9 +1013,9 @@ TEST_F(CliTest, LoadgenDrivesAServerAndGatesOnItsOwnReport) {
 }
 
 TEST_F(CliTest, BareFastFlagIsBoolean) {
-  // `--fast` with no value parses as "--fast 1"; the sweep cache dir is
-  // throwaway so the fast bench's tiny workload stays quick. We only check
-  // it is accepted (exit code depends on perf, so just require it ran).
+  // Named for the bare `--fast` flag of the removed `bench` command; what it
+  // checks is that the usage text still lists the global `--trace F` flag and
+  // the `stats` command.
   const auto result = run_cli({"help"});
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.out.find("--trace F"), std::string::npos);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -127,8 +130,12 @@ class CorruptSweepCache : public ::testing::Test {
     opt_ = tiny_sweep(true);
     opt_.full_trace_instructions = 20000;
     opt_.interval_instructions = 2000;
+    // One directory per test: ctest runs the tests as parallel processes,
+    // and one test's SetUp must not empty another test's cache.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     opt_.cache_dir = (std::filesystem::temp_directory_path() /
-                      "dsml_dse_corrupt_cache_test")
+                      ("dsml_dse_corrupt_cache_" + test))
                          .string();
     std::filesystem::remove_all(opt_.cache_dir);
     fresh_ = run_design_space_sweep("mcf", opt_);
@@ -309,6 +316,32 @@ TEST(Chronological, LinearRegressionIsAccurate) {
   const ChronologicalResult result =
       run_chronological(specdata::Family::kXeon, opt);
   EXPECT_LT(result.best().error.mean, 5.0);
+
+  // Drift gate: at full epoch budgets, each model's mean error stays within
+  // 5 % (relative) of its committed value. A non-finite error fails.
+  const struct {
+    const char* model;
+    double error;
+  } committed[] = {{"LR-E", 2.2635661196628662},
+                   {"LR-S", 2.2541097948003324},
+                   {"LR-F", 2.2541097948003324},
+                   {"LR-B", 2.2541097948003324},
+                   {"NN-Q", 3.9474210033760317}};
+  opt.model_names.clear();
+  for (const auto& c : committed) opt.model_names.emplace_back(c.model);
+  const ChronologicalResult gated =
+      run_chronological(specdata::Family::kXeon, opt);
+  ASSERT_EQ(gated.models.size(), std::size(committed));
+  for (std::size_t i = 0; i < std::size(committed); ++i) {
+    const std::string model = committed[i].model;
+    const double error = gated.models[i].error.mean;
+    EXPECT_EQ(gated.models[i].model, model);
+    EXPECT_TRUE(std::isfinite(error)) << model << " error " << error;
+    const double drift = std::abs(error - committed[i].error) /
+                         std::max(std::abs(committed[i].error), 1e-12);
+    EXPECT_LE(drift, 0.05) << model << " error drifted from "
+                           << committed[i].error << " to " << error;
+  }
 }
 
 }  // namespace

@@ -600,6 +600,13 @@ TEST(Session, BatchedPredictionsBitIdenticalToDirectPredict) {
     // Bit-identical, not approximately equal: the determinism contract.
     EXPECT_EQ(via_session[i], direct[i]) << "row " << i;
   }
+  // One-row requests answer exactly what the batch does.
+  for (std::size_t i = 0; i < train.n_rows(); ++i) {
+    const std::size_t one[] = {i};
+    const std::vector<double> single = session.predict(train.select_rows(one));
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(single[0], via_session[i]) << "row " << i;
+  }
 }
 
 TEST(Session, RejectsSchemaMismatchedRequests) {

@@ -96,7 +96,8 @@ TEST_F(FailpointTest, MalformedSpecThrowsAndKeepsPreviousConfig) {
   for (const char* bad :
        {"nonsense", "=nth:1", "a=", "a=nth:0", "a=nth:x", "a=nth:",
         "a=prob:0.5", "a=prob:1.5@1", "a=prob:x@1", "a=prob:0.5@",
-        "a=err:Bogus", "a=nth:1,a=nth:2"}) {
+        "a=err:Bogus", "a=nth:1,a=nth:2", "x=nth:-1", "x=nth:+3",
+        "x=nth:99999999999999999999", "x=prob:0.5@-1"}) {
     EXPECT_THROW(failpoint::configure(bad), InvalidArgument) << bad;
   }
   // The previous configuration survived every failed reconfigure.

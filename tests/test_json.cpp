@@ -64,8 +64,8 @@ TEST(JsonWriter, NumbersRoundTripAtFullPrecision) {
 }
 
 // Regression: non-finite doubles used to silently become null, so a NaN
-// bench entry changed type on disk and the drift gate compared against it
-// blindly. They now round-trip as numbers via string sentinels.
+// entry changed type on disk and a reader compared against it blindly.
+// They now round-trip as numbers via string sentinels.
 TEST(JsonWriter, NonFiniteRoundTripsViaSentinels) {
   Writer w;
   w.begin_object()
@@ -152,6 +152,18 @@ TEST(JsonParser, RejectsMalformedInput) {
   EXPECT_THROW(Value::parse("{\"a\": 1} trailing"), IoError);
   EXPECT_THROW(Value::parse("{'a': 1}"), IoError);
   EXPECT_THROW(Value::parse("nul"), IoError);
+  // Nesting past kMaxDepth is a parse error naming the offset, not a stack
+  // overflow: one request line may hold 200 000 of either opener.
+  try {
+    Value::parse(std::string(200000, '['));
+    ADD_FAILURE() << "200 000 '[' parsed";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Value::parse(objects), IoError);
 }
 
 TEST(JsonParser, TypeMismatchThrows) {

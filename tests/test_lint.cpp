@@ -295,7 +295,7 @@ TEST(LintSource, DirectModelLoadScopedToTools) {
       "void f() { auto m = ml::load_model(\"model.dsml\"); }\n";
   EXPECT_TRUE(has_rule(lint_source("tools/cli.cpp", source),
                        "direct-model-load-in-tools"));
-  EXPECT_TRUE(has_rule(lint_source("tools/bench_ml.cpp", source),
+  EXPECT_TRUE(has_rule(lint_source("tools/loadgen.cpp", source),
                        "direct-model-load-in-tools"));
   // The unqualified call form is caught too.
   EXPECT_TRUE(has_rule(

@@ -111,6 +111,16 @@ TEST(Serialize, UnfittedModelThrows) {
 TEST(Serialize, GarbageInputThrows) {
   std::stringstream buffer("not a model at all");
   EXPECT_THROW(load_model(buffer), IoError);
+  // A declared length is checked against the bytes that follow it, never
+  // allocated up front: a huge string length or vector count is an
+  // IoError, not std::bad_alloc or std::length_error.
+  for (const char* text :
+       {"dsml-model\n1 99999999999999:linreg\n",
+        "dsml-model\n1 6:linreg linreg\n0 0x1p-4 0x1p-3 0 encoder\n"
+        "1 0 1 0 1 1 0x0p+0 0x1p+0 0 0 0 999999999999999999 0x1p+0\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(load_model(in), IoError) << text;
+  }
 }
 
 TEST(Serialize, TruncatedInputThrows) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "data/split.hpp"
 #include "ml/linreg.hpp"
 #include "ml/metrics.hpp"
+#include "ml/model_zoo.hpp"
 #include "ml/nn_models.hpp"
 
 namespace dsml::ml {
@@ -33,6 +36,24 @@ ModelFactory lr_factory() {
   return []() -> std::unique_ptr<Regressor> {
     return std::make_unique<LinearRegression>();
   };
+}
+
+/// The historical serial estimate_error loop: one Rng, splits consumed in
+/// repeat order, fit/predict per fold. Returns the fold errors.
+std::vector<double> serial_folds(const ModelFactory& factory,
+                                 const data::Dataset& ds,
+                                 const ValidationOptions& opt) {
+  Rng rng(opt.seed);
+  std::vector<double> folds;
+  for (std::size_t rep = 0; rep < opt.repeats; ++rep) {
+    const auto [fit_idx, holdout_idx] = data::split_half(ds.n_rows(), rng);
+    const data::Dataset fit_part = ds.select_rows(fit_idx);
+    const data::Dataset holdout_part = ds.select_rows(holdout_idx);
+    auto model = factory();
+    model->fit(fit_part);
+    folds.push_back(mape(model->predict(holdout_part), holdout_part.target()));
+  }
+  return folds;
 }
 
 /// A deliberately bad model: always predicts a constant far from the data.
@@ -78,35 +99,23 @@ TEST(EstimateError, DeterministicGivenSeed) {
 }
 
 TEST(EstimateError, EstimateErrorMatchesSerialReference) {
-  // estimate_error runs its folds across the thread pool; this replica is
-  // the historical serial loop (one Rng, splits consumed in repeat order,
-  // fit/predict per fold). The parallel implementation must reproduce it
-  // bit-for-bit at any thread count — splits are pre-drawn serially and each
-  // fold writes only its own slot.
+  // estimate_error runs its folds across the thread pool; serial_folds is
+  // the historical serial loop. The parallel implementation must reproduce
+  // it bit-for-bit at any thread count — splits are pre-drawn serially and
+  // each fold writes only its own slot.
   const data::Dataset ds = make_linear_data(90, 8);
   ValidationOptions opt;
   opt.repeats = 7;
   opt.seed = 4242;
 
-  Rng rng(opt.seed);
-  std::vector<double> serial_folds;
-  for (std::size_t rep = 0; rep < opt.repeats; ++rep) {
-    const auto [fit_idx, holdout_idx] = data::split_half(ds.n_rows(), rng);
-    const data::Dataset fit_part = ds.select_rows(fit_idx);
-    const data::Dataset holdout_part = ds.select_rows(holdout_idx);
-    auto model = lr_factory()();
-    model->fit(fit_part);
-    serial_folds.push_back(
-        mape(model->predict(holdout_part), holdout_part.target()));
-  }
-
+  const std::vector<double> serial = serial_folds(lr_factory(), ds, opt);
   const ErrorEstimate est = estimate_error(lr_factory(), ds, opt);
-  ASSERT_EQ(est.folds.size(), serial_folds.size());
-  for (std::size_t rep = 0; rep < serial_folds.size(); ++rep) {
-    EXPECT_EQ(est.folds[rep], serial_folds[rep]) << "fold " << rep;
+  ASSERT_EQ(est.folds.size(), serial.size());
+  for (std::size_t rep = 0; rep < serial.size(); ++rep) {
+    EXPECT_EQ(est.folds[rep], serial[rep]) << "fold " << rep;
   }
-  EXPECT_EQ(est.average, stats::mean(serial_folds));
-  EXPECT_EQ(est.maximum, stats::max(serial_folds));
+  EXPECT_EQ(est.average, stats::mean(serial));
+  EXPECT_EQ(est.maximum, stats::max(serial));
 }
 
 TEST(EstimateError, TooFewRowsThrows) {
@@ -150,6 +159,30 @@ TEST(SelectModel, ExposesPerCandidateEstimates) {
   EXPECT_LT(select.estimates()[0].maximum, select.estimates()[1].maximum);
   EXPECT_DOUBLE_EQ(select.chosen_estimate().maximum,
                    select.estimates()[0].maximum);
+
+  // The sampled-DSE menu: candidates are scored across the pool, yet each
+  // estimate must equal the serial loop seeded seed + i for candidate i,
+  // and the choice must be the serial loop's first minimum of the maxima.
+  ZooOptions zoo;
+  zoo.nn_epoch_scale = 0.05;
+  ValidationOptions vopt;
+  vopt.seed = 4321;
+  const std::vector<NamedModel> menu = sampled_dse_menu(zoo);
+  SelectModel menu_select(menu, vopt);
+  menu_select.fit(train);
+  ASSERT_EQ(menu_select.estimates().size(), menu.size());
+  std::vector<double> maxima;
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    ValidationOptions candidate = vopt;
+    candidate.seed = vopt.seed + i;
+    const std::vector<double> folds =
+        serial_folds(menu[i].make, train, candidate);
+    EXPECT_EQ(menu_select.estimates()[i].folds, folds) << menu[i].name;
+    maxima.push_back(stats::max(folds));
+  }
+  const auto best = std::min_element(maxima.begin(), maxima.end());
+  EXPECT_EQ(menu_select.chosen_name(),
+            menu[static_cast<std::size_t>(best - maxima.begin())].name);
 }
 
 TEST(SelectModel, UnfittedBehaviour) {

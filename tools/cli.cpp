@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -18,7 +19,6 @@
 #include <string_view>
 #include <thread>
 
-#include "bench_ml.hpp"
 #include "common/atomic_io.hpp"
 #include "common/csv.hpp"
 #include "common/failpoint.hpp"
@@ -83,9 +83,8 @@ Flags operator+(Flags a, const Flags& b) {
 /// Parses the "--key value" pairs after the command name args[0]. A flag
 /// outside `known`, or a bare argument, throws InvalidArgument naming the
 /// command and the offender: a mistyped flag must fail, not run silently
-/// with its default. `fast` and `truth` may appear bare ("--fast" ==
-/// "--fast 1"), so `bench --fast --trace t.json` reads naturally; every
-/// other flag requires a value.
+/// with its default. `truth` may appear bare ("--truth" == "--truth 1");
+/// every other flag requires a value.
 Options parse_options(const std::vector<std::string>& args,
                       const Flags& known) {
   const std::string& command = args[0];
@@ -100,7 +99,7 @@ Options parse_options(const std::vector<std::string>& args,
       throw InvalidArgument(command + ": unknown flag --" + key +
                             " (see dsml help)");
     }
-    if (key == "fast" || key == "truth") {
+    if (key == "truth") {
       const bool valued = i + 1 < args.size() &&
                           (args[i + 1] == "0" || args[i + 1] == "1");
       out.named[key] = valued ? args[++i] : "1";
@@ -956,16 +955,6 @@ int cmd_loadgen(const std::vector<std::string>& args, std::ostream& out,
   return loadgen::run(options, out, err);
 }
 
-int cmd_bench(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  const Options opt = parse_options(args, {"json", "check", "fast"});
-  bench_ml::BenchOptions options;
-  options.json_path = opt.get_or("json", "");
-  options.check_path = opt.get_or("check", "");
-  options.fast = opt.get_or("fast", "0") == "1";
-  return bench_ml::run(options, out, err);
-}
-
 /// `dsml stats [--json F] [command args...]`: runs the nested command (if
 /// any), then dumps the metrics registry — the aggregate work counters the
 /// pipeline reported while the command ran.
@@ -1040,7 +1029,6 @@ std::string usage() {
       "          [--model N] [--json F] [--check F] [--timeout-ms N]\n"
       "                                    drive a --listen server, report\n"
       "                                    latency percentiles + rows/sec\n"
-      "  bench   [--json F] [--check F] [--fast 1]   ML perf bench + JSON report\n"
       "  stats   [--json F] [command...]   run command, dump metrics registry\n"
       "  lint    [--list-rules] [--graph dot|json] [--sarif F]\n"
       "          [--update-registries] [--no-cache] [--root D] [path...]\n"
@@ -1091,7 +1079,6 @@ int dispatch(const std::vector<std::string>& args, std::istream& in,
   if (cmd == "dse") return cmd_dse(args, out);
   if (cmd == "fleet") return cmd_fleet(args, out, err);
   if (cmd == "loadgen") return cmd_loadgen(args, out, err);
-  if (cmd == "bench") return cmd_bench(args, out, err);
   err << "unknown command '" << cmd << "'\n" << usage();
   return 1;
 }
@@ -1151,12 +1138,18 @@ int run(const std::vector<std::string>& args, std::istream& in,
     std::optional<linalg::ScopedBackend> backend_override;
     if (backend_choice.has_value()) backend_override.emplace(*backend_choice);
     if (trace_path.has_value()) trace::start(*trace_path);
-    int rc;
-    {
+    // The trace stops on every exit path: a failing command still writes
+    // its file, and tracing never outlives the command that asked for it.
+    int rc = 1;
+    std::exception_ptr failure;
+    try {
       trace::Span span([&] { return "dsml " + rest[0]; }, "cli");
       rc = dispatch(rest, in, out, err);
+    } catch (...) {
+      failure = std::current_exception();
     }
     if (trace_path.has_value()) trace::stop();
+    if (failure) std::rethrow_exception(failure);
     return rc;
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
