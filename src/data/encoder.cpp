@@ -157,8 +157,8 @@ Encoder Encoder::load(serial::Reader& reader) {
   enc.options_.add_intercept = reader.boolean();
   enc.target_min_ = reader.f64();
   enc.target_max_ = reader.f64();
+  // Features grow as they are read: a corrupt count fails as truncation.
   const std::uint64_t n_features = reader.u64();
-  enc.features_.reserve(n_features);
   for (std::uint64_t i = 0; i < n_features; ++i) {
     EncodedFeature f;
     f.name = reader.str();

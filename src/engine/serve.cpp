@@ -80,6 +80,11 @@ std::string ServeHandler::answer(std::string_view line) {
     }
     const data::Dataset rows =
         entry->schema.dataset_from_json_rows(request.at("rows").items());
+    if (rows.n_rows() > kMaxRequestRows) {
+      throw StateError("request has " + std::to_string(rows.n_rows()) +
+                       " rows; at most " + std::to_string(kMaxRequestRows) +
+                       " per request");
+    }
 
     InferenceSession* session = nullptr;
     {
@@ -87,9 +92,8 @@ std::string ServeHandler::answer(std::string_view line) {
       auto it = sessions_.find(model_name);
       if (it == sessions_.end()) {
         it = sessions_
-                 .emplace(model_name,
-                          std::make_unique<InferenceSession>(
-                              registry_, model_name, options_.session))
+                 .emplace(model_name, std::make_unique<InferenceSession>(
+                                          registry_, model_name))
                  .first;
       }
       session = it->second.get();

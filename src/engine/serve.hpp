@@ -25,9 +25,9 @@
 // speaks the identical protocol: serve() wraps it in a stdin/stdout
 // getline loop, and the TCP front-end (net/server.hpp, `dsml serve
 // --listen`) dispatches each framed line to the same handler — responses
-// are byte-identical across transports. Requests route through an
-// InferenceSession per model, so concurrent callers coalesce into shared
-// batches; metrics (`engine.serve.*`) and trace spans follow every request.
+// are byte-identical across transports. Each request is predicted as one
+// batch through the model's InferenceSession; metrics (`engine.serve.*`)
+// and trace spans follow every request.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +46,6 @@ namespace dsml::engine {
 struct ServeOptions {
   /// Used when a request omits "model"; "" means the field is required.
   std::string default_model;
-
-  /// Session tuning shared by every model's session.
-  SessionOptions session;
 };
 
 struct ServeSummary {
@@ -59,11 +56,16 @@ struct ServeSummary {
 };
 
 /// Answers serve-protocol requests one line at a time, independent of the
-/// transport that framed them. Thread-safe: the stdin loop is single-
-/// threaded, but a concurrent front-end may call handle() from several
-/// threads and requests then coalesce in the per-model InferenceSessions.
+/// transport that framed them. Thread-safe: both front-ends call handle()
+/// from one thread, but concurrent calls predict side by side, each on its
+/// own rows.
 class ServeHandler {
  public:
+  /// Rows one request may carry. A larger request is answered alone with
+  /// StateError and the loop keeps serving. Over TCP the front-end's 1 MiB
+  /// default line bound (net::ServerOptions::max_request_bytes) binds first.
+  static constexpr std::size_t kMaxRequestRows = 4096;
+
   /// Sessions are created lazily per requested model against `registry`,
   /// which must outlive the handler.
   explicit ServeHandler(ModelRegistry& registry, ServeOptions options = {});

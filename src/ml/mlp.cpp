@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -378,8 +380,6 @@ std::size_t Mlp::enabled_input_count() const noexcept {
       std::count(input_enabled_.begin(), input_enabled_.end(), true));
 }
 
-namespace {
-
 void save_matrix(serial::Writer& writer, const linalg::Matrix& m) {
   writer.u64(m.rows());
   writer.u64(m.cols());
@@ -389,12 +389,18 @@ void save_matrix(serial::Writer& writer, const linalg::Matrix& m) {
 linalg::Matrix load_matrix(serial::Reader& reader) {
   const std::uint64_t rows = reader.u64();
   const std::uint64_t cols = reader.u64();
+  if (cols != 0 && rows > std::numeric_limits<std::uint64_t>::max() / cols) {
+    throw IoError("load_matrix: a " + std::to_string(rows) + " x " +
+                  std::to_string(cols) + " matrix overflows");
+  }
+  std::vector<double> values;
+  for (std::uint64_t i = 0; i < rows * cols; ++i) {
+    values.push_back(reader.f64());
+  }
   linalg::Matrix m(rows, cols);
-  for (double& v : m.data()) v = reader.f64();
+  std::copy(values.begin(), values.end(), m.data().begin());
   return m;
 }
-
-}  // namespace
 
 void Mlp::save(serial::Writer& writer) const {
   writer.tag("mlp");
@@ -421,9 +427,8 @@ Mlp Mlp::load(serial::Reader& reader) {
     net.hidden_sizes_.push_back(reader.u64());
   }
   const std::uint64_t n_inputs_flags = reader.u64();
-  net.input_enabled_.resize(n_inputs_flags);
   for (std::uint64_t i = 0; i < n_inputs_flags; ++i) {
-    net.input_enabled_[i] = reader.boolean();
+    net.input_enabled_.push_back(reader.boolean());
   }
   const std::uint64_t n_layers = reader.u64();
   for (std::uint64_t i = 0; i < n_layers; ++i) {

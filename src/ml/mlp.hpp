@@ -126,4 +126,10 @@ class Mlp {
   std::vector<bool> input_enabled_;
 };
 
+/// The matrix layout Mlp::save writes: rows, cols, then the values in row
+/// order. Like serial::Reader's vectors, load_matrix grows its storage only
+/// with the values it reads, so a corrupt shape fails as an IoError.
+void save_matrix(serial::Writer& writer, const linalg::Matrix& m);
+linalg::Matrix load_matrix(serial::Reader& reader);
+
 }  // namespace dsml::ml

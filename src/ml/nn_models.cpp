@@ -465,10 +465,7 @@ void NeuralRegressor::save(serial::Writer& writer) const {
   writer.f64(options_.epoch_scale);
   encoder_.save(writer);
   net_->save(writer);
-  // Retained training sample (needed by importance()).
-  writer.u64(train_x_.rows());
-  writer.u64(train_x_.cols());
-  for (double v : train_x_.data()) writer.f64(v);
+  save_matrix(writer, train_x_);  // retained for importance()
   writer.f64_vector(train_y_scaled_);
 }
 
@@ -483,10 +480,7 @@ NeuralRegressor NeuralRegressor::load(serial::Reader& reader) {
   NeuralRegressor model(opt);
   model.encoder_ = data::Encoder::load(reader);
   model.net_ = Mlp::load(reader);
-  const std::uint64_t rows = reader.u64();
-  const std::uint64_t cols = reader.u64();
-  model.train_x_ = linalg::Matrix(rows, cols);
-  for (double& v : model.train_x_.data()) v = reader.f64();
+  model.train_x_ = load_matrix(reader);
   model.train_y_scaled_ = reader.f64_vector();
   return model;
 }

@@ -29,10 +29,11 @@
 //    `shed_when_full`, accepts, answers one error line, and closes
 //    (`net.shed`) so clients fail fast instead of queueing blind.
 //
-// Backpressure composes with the engine: the InferenceSession bounded queue
-// rejects over-admission with StateError, which the handler turns into an
-// error *response* — so `net.*` sheds connections while `engine.session.*`
-// sheds requests, and both are observable.
+// Bounds compose with the engine: `max_request_bytes` refuses a line before
+// the handler parses it, and at its 1 MiB default it binds before
+// `engine::ServeHandler::kMaxRequestRows` does (fewer than 3000 compact
+// rows fit in a line). Both refusals are error *responses*, so `net.*` sheds
+// connections and lines while `engine.serve.errors` counts requests.
 //
 // Threading: run() is single-threaded (one poll loop; dispatch is inline).
 // request_stop() may be called from any thread or from a signal handler —

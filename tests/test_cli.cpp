@@ -186,6 +186,8 @@ TEST_F(CliTest, UnknownFlagsFailNamingCommandAndFlag) {
       {{"serve", "--models", model, "--batchh", "4"}, "--batchh"},
       {{"serve", "--f32", "--models", model}, "--f32"},
       {{"serve", "--models", model, "--f32", "1"}, "--f32"},
+      {{"serve", "--models", model, "--batch", "8"}, "--batch"},
+      {{"serve", "--models", model, "--queue", "8"}, "--queue"},
       {{"worker", "--listen", "0", "--stall", "5"}, "--stall"},
       {{"dse", "--sampler", "random", "--budgett", "10"}, "--budgett"},
       {{"dse", "--sampler", "random", "--csv", "t.csv"}, "--csv"},
@@ -361,8 +363,11 @@ TEST_F(CliTest, CampaignFlagValidationNamesTheFlag) {
   }
 }
 
-TEST_F(CliTest, FleetFlagsThatCannotTakeEffectFailAtParseTime) {
-  // Rejected before any connection opens or any worker spawns.
+TEST_F(CliTest, FlagsThatCannotTakeEffectFailAtParseTime) {
+  // Rejected before any connection opens, any worker spawns or any model
+  // loads: serve's model path does not exist, so a late check would fail
+  // on the load instead.
+  const std::string missing_model = "applu=/nonexistent/model.dsml";
   const struct {
     std::vector<std::string> args;
     const char* expect;
@@ -380,9 +385,19 @@ TEST_F(CliTest, FleetFlagsThatCannotTakeEffectFailAtParseTime) {
       {{"sweep", "--app", "mcf", "--workers", "127.0.0.1:1", "--retries", "0"},
        "--retries must be >= 1"},
       {{"fleet", "--app", "mcf", "--retries", "0"}, "--retries must be >= 1"},
+      {{"serve", "--models", missing_model, "--bind", "9.9.9.9", "--max-conns",
+        "0", "--idle-timeout-ms", "5"},
+       "--bind needs --listen P"},
+      {{"serve", "--models", missing_model, "--max-conns", "0"},
+       "--max-conns needs --listen P"},
+      {{"serve", "--models", missing_model, "--idle-timeout-ms", "5"},
+       "--idle-timeout-ms needs --listen P"},
+      {{"serve", "--models", missing_model, "--listen", "0", "--max-conns",
+        "0"},
+       "--max-conns must be >= 1"},
   };
   for (const auto& c : cases) {
-    const auto result = run_cli(c.args);
+    const auto result = run_cli(c.args, "");
     EXPECT_EQ(result.exit_code, 1) << c.expect;
     EXPECT_NE(result.err.find(c.expect), std::string::npos) << result.err;
   }
@@ -666,6 +681,34 @@ TEST_F(CliTest, MalformedCountFlagsFailWithTaxonomyErrors) {
         run_cli({"predict", "--model", "whatever.dsml", "--top", "-3"});
     EXPECT_EQ(result.exit_code, 1);
     EXPECT_NE(result.err.find("--top"), std::string::npos) << result.err;
+  }
+  // A value past the flag's type fails instead of wrapping: the fd would
+  // have become another socket or stdin, the deadline 0 ("block forever").
+  const std::string int_max = "expected an integer at most 2147483647";
+  const std::string u32_max = "expected an integer at most 4294967295";
+  const struct {
+    std::vector<std::string> args;
+    std::string expect;
+  } narrowed[] = {
+      {{"worker", "--listen-fd", "2147483648"}, "--listen-fd: " + int_max},
+      {{"worker", "--listen-fd", "4294967296"}, "--listen-fd: " + int_max},
+      {{"worker", "--listen", "0", "--stall-ms", "4294967296"},
+       "--stall-ms: " + u32_max},
+      {{"worker", "--listen", "0", "--idle-timeout-ms", "4294967296"},
+       "--idle-timeout-ms: " + u32_max},
+      {{"sweep", "--app", "mcf", "--workers", "127.0.0.1:1", "--timeout-ms",
+        "4294967296"},
+       "--timeout-ms: " + u32_max},
+      {{"sweep", "--app", "mcf", "--workers", "127.0.0.1:1",
+        "--connect-timeout-ms", "4294967296"},
+       "--connect-timeout-ms: " + u32_max},
+      {{"loadgen", "--connect", "127.0.0.1:1", "--timeout-ms", "4294967296"},
+       "--timeout-ms: " + u32_max},
+  };
+  for (const auto& c : narrowed) {
+    const auto result = run_cli(c.args, "");
+    EXPECT_EQ(result.exit_code, 1) << c.expect;
+    EXPECT_NE(result.err.find(c.expect), std::string::npos) << result.err;
   }
 }
 

@@ -1,7 +1,7 @@
 // Engine-layer tests: schema fingerprints, JSON row decoding (differential
-// against the old text route), the model registry, micro-batching
-// inference sessions (including the bit-identity determinism contract and
-// concurrent access under DSML_THREADS=4 — this suite carries the tsan
+// against the old text route), the model registry, inference sessions
+// (including the bit-identity determinism contract and concurrent
+// access under DSML_THREADS=4 — this suite carries the tsan
 // label), fit_and_score failure capture, the design-space cold-start
 // cache, and the serve goldens.
 #include <gtest/gtest.h>
@@ -621,20 +621,6 @@ TEST(Session, RejectsSchemaMismatchedRequests) {
   EXPECT_THROW(InferenceSession(registry, "absent"), StateError);
 }
 
-TEST(Session, EnforcesQueueBound) {
-  const data::Dataset train = make_train(16);
-  ModelRegistry registry;
-  registry.register_model("m", fit_model(train, "LR-B"), Schema::of(train));
-  SessionOptions options;
-  options.max_batch_rows = 8;
-  options.max_queue_rows = 8;
-  InferenceSession session(registry, "m", options);
-  EXPECT_THROW(session.predict(train), StateError);  // 16 rows > bound 8
-  EXPECT_EQ(session.stats().rejected, 1u);
-  const std::vector<std::size_t> few = {0, 1, 2, 3};
-  EXPECT_EQ(session.predict(train.select_rows(few)).size(), 4u);
-}
-
 TEST(Session, FailedBatchDegradesToPerRowRetry) {
   const data::Dataset train = make_train(12);
   ModelRegistry registry;
@@ -676,10 +662,10 @@ TEST(Session, FailedBatchDegradesToPerRowRetry) {
   }
 }
 
-TEST(Session, ConcurrentRequestsCoalesceAndStayBitIdentical) {
+TEST(Session, ConcurrentRequestsStayBitIdentical) {
   // The tsan-label workhorse: many threads share one session against one
-  // registry entry; whatever batch compositions the leader/follower protocol
-  // produces, every thread must see exactly the direct per-slice answer.
+  // registry entry and predict side by side on the const model; every
+  // thread must see exactly the direct per-slice answer.
   const data::Dataset train = make_train(96);
   ModelRegistry registry;
   const auto model = fit_model(train, "NN-E");
@@ -714,7 +700,7 @@ TEST(Session, ConcurrentRequestsCoalesceAndStayBitIdentical) {
   EXPECT_EQ(mismatches.load(), 0);
   const SessionStats stats = session.stats();
   EXPECT_EQ(stats.rows, kThreads * kRounds * (train.n_rows() / kThreads));
-  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(stats.batches, kThreads * kRounds);  // one batch per request
 }
 
 TEST(Session, ConcurrentSessionsAgainstOneRegistry) {
@@ -881,31 +867,41 @@ TEST(Serve, CrlfTerminatedLinesParse) {
 }
 
 TEST(Serve, RequestLargerThanQueueFailsAloneLoopKeepsServing) {
+  // The stdin loop's row bound: one row past it is answered alone with
+  // StateError, a request at the bound is served, and so is the next line.
+  constexpr std::size_t kBound = ServeHandler::kMaxRequestRows;
+  EXPECT_EQ(kBound, 4096u);
+  const auto request_of = [](std::size_t rows) {
+    std::string line = R"({"rows": [)";
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (i > 0) line += ",";
+      line += train_row_json();
+    }
+    return line + "]}\n";
+  };
   ModelRegistry registry;
   const data::Dataset train = make_train(24);
   registry.register_model("m", fit_model(train, "LR-B"), Schema::of(train));
   ServeOptions options;
   options.default_model = "m";
-  options.session.max_batch_rows = 2;
-  options.session.max_queue_rows = 4;
-  ServeHandler handler(registry, options);
+  std::istringstream in(request_of(kBound + 1) + request_of(kBound) +
+                        request_of(1));
+  std::ostringstream out;
+  const ServeSummary summary = serve(registry, in, out, options);
 
-  std::string big = R"({"rows": [)";
-  for (int i = 0; i < 5; ++i) {
-    if (i > 0) big += ",";
-    big += train_row_json();
-  }
-  big += "]}";
-  const std::string refused = handler.handle(big);
+  std::istringstream responses(out.str());
+  std::string refused, at_bound, after;
+  ASSERT_TRUE(std::getline(responses, refused));
+  ASSERT_TRUE(std::getline(responses, at_bound));
+  ASSERT_TRUE(std::getline(responses, after));
   EXPECT_NE(refused.find("\"ok\":false"), std::string::npos) << refused;
   EXPECT_NE(refused.find("StateError"), std::string::npos) << refused;
-
-  const std::string served =
-      handler.handle("{\"rows\": [" + train_row_json() + "]}");
-  EXPECT_NE(served.find("\"ok\":true"), std::string::npos) << served;
-  const ServeSummary summary = handler.summary();
+  EXPECT_NE(refused.find("4097 rows"), std::string::npos) << refused;
+  EXPECT_NE(at_bound.find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(after.find("\"ok\":true"), std::string::npos) << after;
+  EXPECT_EQ(summary.requests, 3u);
   EXPECT_EQ(summary.errors, 1u);
-  EXPECT_EQ(summary.rows, 1u);
+  EXPECT_EQ(summary.rows, kBound + 1);
 }
 
 TEST(Serve, PartialResponsesCountSeparatelyFromErrors) {

@@ -696,7 +696,9 @@ TEST(Supervisor, ValidatesOptions) {
 TEST(Supervisor, KeepsLiveWorkersRunningAndStopsThem) {
   SupervisorOptions options;
   options.exe = "/bin/sh";
-  options.worker_args = {"-c", "sleep 30"};
+  // exec: the pid stop() signals is sleep itself. A shell that forked sleep
+  // would die alone, leaving sleep to hold the test's output pipe for 30 s.
+  options.worker_args = {"-c", "exec sleep 30"};
   options.workers = 2;
   Supervisor supervisor(options);
   EXPECT_EQ(supervisor.endpoints().size(), 2u);

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "ml/linreg.hpp"
@@ -112,12 +113,31 @@ TEST(Serialize, GarbageInputThrows) {
   std::stringstream buffer("not a model at all");
   EXPECT_THROW(load_model(buffer), IoError);
   // A declared length is checked against the bytes that follow it, never
-  // allocated up front: a huge string length or vector count is an
-  // IoError, not std::bad_alloc or std::length_error.
-  for (const char* text :
-       {"dsml-model\n1 99999999999999:linreg\n",
-        "dsml-model\n1 6:linreg linreg\n0 0x1p-4 0x1p-3 0 encoder\n"
-        "1 0 1 0 1 1 0x0p+0 0x1p+0 0 0 0 999999999999999999 0x1p+0\n"}) {
+  // allocated up front: a huge string length, vector count, or model
+  // loader's count or shape is an IoError, not std::bad_alloc or
+  // std::length_error.
+  const std::string neural =
+      "dsml-model\n1 6:neural neural\n0 7 100 0x1p-1 0x1p+0 encoder\n"
+      "1 0 1 0 1 1 0x0p+0 0x1p+0 0 0 mlp\n1 0 ";
+  const std::string one_layer =
+      neural + "0 1 1 1 0x1p+0 1 1 0x1p+0 1 0x0p+0 1 ";
+  const std::string inputs[] = {
+      "dsml-model\n1 99999999999999:linreg\n",
+      "dsml-model\n1 6:linreg linreg\n0 0x1p-4 0x1p-3 0 encoder\n"
+      "1 0 1 0 1 1 0x0p+0 0x1p+0 0 0 0 999999999999999999 0x1p+0\n",
+      // Encoder::load, feature count.
+      "dsml-model\n1 6:linreg linreg\n0 0x1p-4 0x1p-3 0 encoder\n"
+      "1 0 1 0 1 1 0x0p+0 0x1p+0 999999999999999999\n",
+      // Mlp::load, input-flag count.
+      neural + "999999999999999999\n",
+      // load_matrix, a layer's shape.
+      neural + "0 1 999999999 999999999\n",
+      // load_matrix, a shape whose element count overflows.
+      neural + "0 1 4294967296 4294967296 4294967296 4294967296 0 1\n",
+      // NeuralRegressor::load, the retained training sample's shape.
+      one_layer + "999999999 999999999\n",
+  };
+  for (const std::string& text : inputs) {
     std::stringstream in(text);
     EXPECT_THROW(load_model(in), IoError) << text;
   }

@@ -6,10 +6,12 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -113,18 +115,39 @@ Options parse_options(const std::vector<std::string>& args,
   return out;
 }
 
-/// Checked integer flag parsing. User input must surface as a taxonomy
-/// error naming the flag ("--top: expected ..."), never as the raw
-/// std::invalid_argument / std::out_of_range that bare std::stoull throws.
-std::size_t parse_count_flag(const Options& opt, const std::string& key,
-                             const std::string& fallback) {
+/// Checked integer flag parsing into T. User input must surface as a
+/// taxonomy error naming the flag ("--top: expected ..."), never as the raw
+/// std::invalid_argument / std::out_of_range that bare std::stoull throws,
+/// nor wrap silently past T's maximum.
+template <typename T = std::size_t>
+T parse_count_flag(const Options& opt, const std::string& key,
+                   const std::string& fallback) {
   const std::string value = opt.get_or(key, fallback);
+  std::uint64_t parsed = 0;
   try {
-    return static_cast<std::size_t>(strings::parse_u64(value));
+    parsed = strings::parse_u64(value);
   } catch (const IoError&) {
     throw InvalidArgument("--" + key +
                           ": expected a non-negative integer, got '" + value +
                           "'");
+  }
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (parsed > kMax) {
+    throw InvalidArgument("--" + key + ": expected an integer at most " +
+                          std::to_string(kMax) + ", got '" + value + "'");
+  }
+  return static_cast<T>(parsed);
+}
+
+/// Throws "--<flag> <needs>" for the first of `flags` given in `opt`: a flag
+/// whose mode is off must fail naming itself, not run as a silent no-op.
+void reject_flags(const Options& opt, const Flags& flags,
+                  const std::string& needs) {
+  for (const std::string_view flag : flags) {
+    if (opt.get(std::string(flag))) {
+      throw InvalidArgument("--" + std::string(flag) + " " + needs);
+    }
   }
 }
 
@@ -370,16 +393,12 @@ int cmd_predict(const std::vector<std::string>& args, std::ostream& out) {
 
   // The registry is the only sanctioned load path (dsml-lint forbids
   // ml::load_model here): load once, then predict through a session so the
-  // batched kernels serve the whole space in one flush.
+  // batched kernels serve the whole space in one batch.
   engine::ModelRegistry& registry = engine::ModelRegistry::global();
   const std::string entry_name = "file:" + *path;
   registry.load_file(entry_name, *path, engine::design_space_schema());
   const auto entry = registry.get(entry_name);
-  engine::InferenceSession session(
-      registry, entry_name,
-      engine::SessionOptions{/*max_batch_rows=*/sim::kDesignSpaceSize,
-                             /*max_queue_rows=*/4 * sim::kDesignSpaceSize,
-                             /*retry_rows_on_batch_failure=*/true});
+  engine::InferenceSession session(registry, entry_name);
 
   if (const auto csv_path = opt.get("csv")) {
     return predict_csv(session, entry->schema, entry->model->name(),
@@ -463,17 +482,16 @@ net::ServerOptions server_options_from(const Options& opt) {
   if (options.max_connections == 0) {
     throw InvalidArgument("--max-conns must be >= 1");
   }
-  options.idle_timeout_ms = static_cast<std::uint32_t>(
-      parse_count_flag(opt, "idle-timeout-ms", "0"));
+  options.idle_timeout_ms =
+      parse_count_flag<std::uint32_t>(opt, "idle-timeout-ms", "0");
   return options;
 }
 
 /// Runs the TCP front-end: binds, prints the resolved endpoint, and
 /// answers framed requests through `handler` until SIGINT/SIGTERM.
-engine::ServeSummary serve_listen(const Options& opt,
+engine::ServeSummary serve_listen(const net::ServerOptions& options,
                                   engine::ServeHandler& handler,
                                   std::ostream& err) {
-  const net::ServerOptions options = server_options_from(opt);
   net::Server server(options,
                      [&](std::string_view line) { return handler.handle(line); });
   err << "listening on " << options.bind_address << ":" << server.port()
@@ -501,11 +519,19 @@ engine::ServeSummary serve_listen(const Options& opt,
 /// golden-diffable); operational banners go to `err`.
 int cmd_serve(const std::vector<std::string>& args, std::istream& in,
               std::ostream& out, std::ostream& err) {
-  const Options opt = parse_options(
-      args, kServerFlags + Flags{"models", "default", "batch", "queue"});
+  const Options opt =
+      parse_options(args, kServerFlags + Flags{"models", "default"});
   const auto models = opt.get("models");
   if (!models) {
     throw InvalidArgument("serve requires --models name=path[,name=path...]");
+  }
+  // Checked before any model loads. Without --listen no server runs, so a
+  // TCP flag there fails naming itself.
+  std::optional<net::ServerOptions> server;
+  if (opt.get("listen")) {
+    server = server_options_from(opt);
+  } else {
+    reject_flags(opt, kServerFlags, "needs --listen P");
   }
   engine::ModelRegistry& registry = engine::ModelRegistry::global();
   const std::vector<std::string> names =
@@ -513,14 +539,12 @@ int cmd_serve(const std::vector<std::string>& args, std::istream& in,
   engine::ServeOptions options;
   options.default_model =
       opt.get_or("default", names.size() == 1 ? names.front() : "");
-  options.session.max_batch_rows = parse_count_flag(opt, "batch", "512");
-  options.session.max_queue_rows = parse_count_flag(opt, "queue", "4096");
   err << "serving " << names.size() << " model(s): "
       << strings::join(names, ", ") << "\n";
   engine::ServeSummary summary;
-  if (opt.get("listen")) {
+  if (server) {
     engine::ServeHandler handler(registry, options);
-    summary = serve_listen(opt, handler, err);
+    summary = serve_listen(*server, handler, err);
   } else {
     summary = engine::serve(registry, in, out, options);
   }
@@ -549,11 +573,9 @@ int cmd_worker(const std::vector<std::string>& args, std::ostream& err) {
   fleet::WorkerOptions options;
   options.server = server_options_from(opt);
   if (opt.get("listen-fd")) {
-    options.server.adopted_fd =
-        static_cast<int>(parse_count_flag(opt, "listen-fd", "0"));
+    options.server.adopted_fd = parse_count_flag<int>(opt, "listen-fd", "0");
   }
-  options.stall_ms = static_cast<std::uint32_t>(
-      parse_count_flag(opt, "stall-ms", "100"));
+  options.stall_ms = parse_count_flag<std::uint32_t>(opt, "stall-ms", "100");
 
   engine::ModelRegistry& registry = engine::ModelRegistry::global();
   std::vector<std::string> names;
@@ -593,21 +615,14 @@ const Flags kFleetFlags = {"connect-timeout-ms", "timeout-ms", "retries"};
 /// an error naming it, not a silent no-op.
 fleet::CoordinatorOptions coordinator_options_from(const Options& opt,
                                                    bool fleet_runs) {
-  if (!fleet_runs) {
-    for (const std::string_view flag : kFleetFlags) {
-      if (opt.get(std::string(flag))) {
-        throw InvalidArgument("--" + std::string(flag) +
-                              " needs --workers H:P,...");
-      }
-    }
-  }
+  if (!fleet_runs) reject_flags(opt, kFleetFlags, "needs --workers H:P,...");
   fleet::CoordinatorOptions options;
   options.sweep = sweep_options_from(opt);
-  options.connect_timeout_ms = static_cast<std::uint32_t>(
-      parse_count_flag(opt, "connect-timeout-ms", "2000"));
+  options.connect_timeout_ms =
+      parse_count_flag<std::uint32_t>(opt, "connect-timeout-ms", "2000");
   options.ping_timeout_ms = options.connect_timeout_ms;
-  options.request_timeout_ms = static_cast<std::uint32_t>(
-      parse_count_flag(opt, "timeout-ms", "120000"));
+  options.request_timeout_ms =
+      parse_count_flag<std::uint32_t>(opt, "timeout-ms", "120000");
   options.max_rounds = parse_count_flag(opt, "retries", "3");
   if (options.max_rounds == 0) throw InvalidArgument("--retries must be >= 1");
   return options;
@@ -947,8 +962,7 @@ int cmd_loadgen(const std::vector<std::string>& args, std::ostream& out,
   options.connections = parse_count_flag(opt, "connections", "8");
   options.requests = parse_count_flag(opt, "requests", "32");
   options.rows = parse_count_flag(opt, "rows", "4");
-  options.timeout_ms = static_cast<std::uint32_t>(
-      parse_count_flag(opt, "timeout-ms", "0"));
+  options.timeout_ms = parse_count_flag<std::uint32_t>(opt, "timeout-ms", "0");
   options.model = opt.get_or("model", "");
   options.json_path = opt.get_or("json", "");
   options.check_path = opt.get_or("check", "");
@@ -998,7 +1012,7 @@ std::string usage() {
       "  train   --app A --rate R --model M --out F [--seed S] [SWEEP]\n"
       "  predict --model F [--top N] [--csv F]   rank the design space, or\n"
       "                                    score CSV rows, via the engine\n"
-      "  serve   --models N=F[,N=F...] [--default N] [--batch N] [--queue N]\n"
+      "  serve   --models N=F[,N=F...] [--default N]\n"
       "          [--listen P [--bind A] [--max-conns N]\n"
       "          [--idle-timeout-ms N]]\n"
       "                                    JSON-lines requests on stdin ->\n"
@@ -1031,7 +1045,8 @@ std::string usage() {
       "                                    latency percentiles + rows/sec\n"
       "  stats   [--json F] [command...]   run command, dump metrics registry\n"
       "  lint    [--list-rules] [--graph dot|json] [--sarif F]\n"
-      "          [--update-registries] [--no-cache] [--root D] [path...]\n"
+      "          [--update-registries] [--no-cache] [--cache-dir D]\n"
+      "          [--root D] [path...]\n"
       "                                    run the dsml-lint project analyzer\n"
       "                                    (see docs/STATIC_ANALYSIS.md)\n"
       "\n"

@@ -1,22 +1,6 @@
 // The `dsml` command-line driver, as a library so it is directly testable.
 //
-// Subcommands:
-//   dsml list                               — apps, families, models
-//   dsml sweep   --app mcf [--full N --interval N --clusters K]
-//                [--csv out.csv]            — full design-space sweep
-//   dsml sampled --app mcf [--rates 0.01,0.03] [--models LR-B,NN-E,NN-S]
-//                                           — §4.2 experiment
-//   dsml chrono  --family xeon [--target int|fp|app:<i>] [--models ...]
-//                                           — §4.3 experiment
-//   dsml train   --app mcf --rate 0.02 --model NN-E --out model.dsml
-//                                           — fit a surrogate, save it
-//   dsml predict --model model.dsml [--top N] [--csv configs.csv]
-//                                           — rank the design space (or
-//                                             score CSV rows) with a saved
-//                                             surrogate, via the engine
-//   dsml serve   --models name=path[,...]   — JSON-lines request loop on
-//                                             stdin/stdout (docs/SERVING.md)
-//
+// usage() (`dsml help`) lists every command and the flags each one reads.
 // Every command honours the library's environment knobs (DSML_CACHE_DIR).
 #pragma once
 

@@ -389,7 +389,7 @@ void rule_unregistered_metric(const ProjectModel& project,
   }
 }
 
-/// Tests that exercise the thread pool or the micro-batching session run
+/// Tests that exercise the thread pool or a shared inference session run
 /// real cross-thread interleavings; without the `tsan` ctest label they
 /// never run under ThreadSanitizer, so a data race ships silently.
 void rule_missing_tsan_label(const ProjectModel& project,
