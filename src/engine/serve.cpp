@@ -98,7 +98,9 @@ std::string ServeHandler::answer(std::string_view line) {
       }
       session = it->second.get();
     }
-    const BatchOutcome outcome = session->predict_detailed(rows);
+    // The entry resolved above answers too: one registry lookup per
+    // request, and the version reported is the one that predicted.
+    const BatchOutcome outcome = session->predict_detailed(*entry, rows);
 
     json::Writer w(/*compact=*/true);
     w.begin_object()

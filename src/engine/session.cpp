@@ -46,8 +46,15 @@ std::vector<double> InferenceSession::predict(const data::Dataset& rows) {
 }
 
 BatchOutcome InferenceSession::predict_detailed(const data::Dataset& rows) {
-  const std::shared_ptr<const ModelEntry> entry = registry_.get(model_name_);
-  const std::string mismatch = entry->schema.mismatch(rows);
+  return predict_detailed(*registry_.get(model_name_), rows);
+}
+
+BatchOutcome InferenceSession::predict_detailed(const ModelEntry& entry,
+                                                const data::Dataset& rows) {
+  DSML_REQUIRE(entry.name == model_name_,
+               "InferenceSession: entry '" + entry.name +
+                   "' is not this session's model '" + model_name_ + "'");
+  const std::string mismatch = entry.schema.mismatch(rows);
   if (!mismatch.empty()) {
     throw InvalidArgument("InferenceSession: request schema does not match '" +
                           model_name_ + "' (" + mismatch + ")");
@@ -63,13 +70,13 @@ BatchOutcome InferenceSession::predict_detailed(const data::Dataset& rows) {
   BatchOutcome outcome;
   try {
     DSML_FAIL("engine.session.flush");
-    outcome.values = entry->model->predict(rows);
+    outcome.values = entry.model->predict(rows);
   } catch (const std::exception&) {
     // Degrade: retry every row alone so one poisoned row (or an injected
     // batch failure) costs only itself. Bit-identity holds — per-row
     // prediction matches batched prediction exactly.
     session_metrics().degraded.add();
-    outcome = predict_rows(*entry->model, rows);
+    outcome = predict_rows(*entry.model, rows);
   }
   session_metrics().batch_rows.observe(static_cast<double>(rows.n_rows()));
   session_metrics().batch_us.observe(watch.seconds() * 1e6);

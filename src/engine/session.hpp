@@ -49,8 +49,9 @@ struct SessionStats {
 
 class InferenceSession {
  public:
-  /// Binds to `model_name` in `registry`. The name is resolved per request,
-  /// so a model re-registered mid-session answers the next request.
+  /// Binds to `model_name` in `registry`. The name is resolved per request
+  /// (by the session, or by a caller that passes its entry), so a model
+  /// re-registered mid-session answers the next request.
   /// Throws StateError if the name is not registered at construction.
   InferenceSession(ModelRegistry& registry, std::string model_name);
 
@@ -65,6 +66,12 @@ class InferenceSession {
   /// Like predict(), but reports row failures in the outcome instead of
   /// throwing (schema and admission errors still throw).
   BatchOutcome predict_detailed(const data::Dataset& rows);
+
+  /// predict_detailed(rows) with `entry`, an entry of this session's model
+  /// the caller has already resolved: no registry lookup, so the caller's
+  /// version and the predictions come from the same entry.
+  BatchOutcome predict_detailed(const ModelEntry& entry,
+                                const data::Dataset& rows);
 
   const std::string& model_name() const noexcept { return model_name_; }
 

@@ -452,7 +452,15 @@ LinearRegression LinearRegression::load(serial::Reader& reader) {
   model.train_x_sd_ = reader.f64_vector();
   model.train_y_sd_ = reader.f64();
   OlsFit f;
+  // predict() reads the selected columns of the encoded matrix unchecked,
+  // so a column past the encoder's width must fail here.
+  const std::size_t width = model.encoder_.n_outputs();
   for (std::uint64_t c : reader.u64_vector()) {
+    if (c >= width) {
+      throw IoError("LinearRegression::load: selected column " +
+                    std::to_string(c) + " is past the encoded width " +
+                    std::to_string(width));
+    }
     f.columns.push_back(static_cast<std::size_t>(c));
   }
   f.beta = reader.f64_vector();

@@ -6,16 +6,10 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
-#include "common/trace.hpp"
 #include "linalg/kernels.hpp"
 
 namespace dsml::ml {
-
-namespace {
-inline double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
-}  // namespace
 
 Mlp::Mlp(std::size_t n_inputs, std::vector<std::size_t> hidden, Rng& rng)
     : n_inputs_(n_inputs), hidden_sizes_(std::move(hidden)) {
@@ -58,26 +52,6 @@ std::size_t Mlp::parameter_count() const noexcept {
     n += layer.b.size();
   }
   return n;
-}
-
-void Mlp::forward_pass(
-    std::span<const double> x,
-    std::vector<std::vector<double>>& activations) const {
-  auto& input = activations[0];
-  for (std::size_t j = 0; j < n_inputs_; ++j) {
-    input[j] = input_enabled_[j] ? x[j] : 0.0;
-  }
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const Layer& layer = layers_[li];
-    const auto& in = activations[li];
-    auto& out = activations[li + 1];
-    for (std::size_t i = 0; i < layer.w.rows(); ++i) {
-      double z = layer.b[i];
-      const auto wrow = layer.w.row(i);
-      for (std::size_t j = 0; j < wrow.size(); ++j) z += wrow[j] * in[j];
-      out[i] = layer.output ? z : sigmoid(z);
-    }
-  }
 }
 
 bool Mlp::all_inputs_enabled() const noexcept {
@@ -141,98 +115,6 @@ std::vector<double> Mlp::predict(const linalg::Matrix& x) const {
                                       out.data() + b, linalg::tls_workspace());
                       });
   return out;
-}
-
-double Mlp::mse(const linalg::Matrix& x, std::span<const double> y) const {
-  DSML_REQUIRE(x.rows() == y.size() && !y.empty(), "Mlp::mse: size mismatch");
-  const std::vector<double> pred = predict(x);
-  double ss = 0.0;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double d = pred[r] - y[r];
-    ss += d * d;
-  }
-  return ss / static_cast<double>(y.size());
-}
-
-double Mlp::train_epoch(const linalg::Matrix& x, std::span<const double> y,
-                        double learning_rate, double momentum, Rng& rng) {
-  DSML_REQUIRE(x.rows() == y.size() && !y.empty(),
-               "Mlp::train_epoch: size mismatch");
-  DSML_REQUIRE(x.cols() == n_inputs_, "Mlp::train_epoch: input width mismatch");
-  trace::Span span("Mlp::train_epoch", "ml");
-  static metrics::Counter& epochs = metrics::counter("ml.train_epochs");
-  epochs.add();
-
-  std::vector<std::size_t> order(x.rows());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng.shuffle(order);
-
-  // Per-call scratch: train_epoch owns its activation/delta buffers, so
-  // training one network never interferes with concurrent predictions on
-  // another (or the same) network.
-  std::vector<std::vector<double>> activations(layers_.size() + 1);
-  std::vector<std::vector<double>> deltas(layers_.size());
-  activations[0].assign(n_inputs_, 0.0);
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    activations[li + 1].assign(layers_[li].w.rows(), 0.0);
-    deltas[li].assign(layers_[li].w.rows(), 0.0);
-  }
-
-  double ss = 0.0;
-  for (std::size_t sample : order) {
-    forward_pass(x.row(sample), activations);
-    const double yhat = activations.back()[0];
-    const double err = yhat - y[sample];
-    ss += err * err;
-
-    // Output delta (linear activation): dL/dz = err.
-    deltas.back()[0] = err;
-    // Hidden deltas, back to front. The fan-out sums walk next.w row by row
-    // (contiguous spans) instead of down a column; per element the products
-    // still accumulate in ascending i, so the result is bit-identical to
-    // the column walk.
-    for (std::size_t li = layers_.size() - 1; li-- > 0;) {
-      const Layer& next = layers_[li + 1];
-      auto& delta = deltas[li];
-      const auto& delta_next = deltas[li + 1];
-      const auto& act = activations[li + 1];
-      std::fill(delta.begin(), delta.end(), 0.0);
-      for (std::size_t i = 0; i < next.w.rows(); ++i) {
-        const double dn = delta_next[i];
-        const auto wrow = next.w.row(i);
-        for (std::size_t j = 0; j < delta.size(); ++j) {
-          delta[j] += wrow[j] * dn;
-        }
-      }
-      for (std::size_t j = 0; j < delta.size(); ++j) {
-        delta[j] = delta[j] * act[j] * (1.0 - act[j]);  // sigmoid'
-      }
-    }
-    // Weight updates with momentum.
-    for (std::size_t li = 0; li < layers_.size(); ++li) {
-      Layer& layer = layers_[li];
-      const auto& in = activations[li];
-      const auto& delta = deltas[li];
-      for (std::size_t i = 0; i < layer.w.rows(); ++i) {
-        const double di = delta[i];
-        auto wrow = layer.w.row(i);
-        auto vrow = layer.w_vel.row(i);
-        const auto mrow = layer.w_mask.row(i);
-        for (std::size_t j = 0; j < wrow.size(); ++j) {
-          if (mrow[j] == 0.0) continue;
-          vrow[j] = momentum * vrow[j] - learning_rate * di * in[j];
-          wrow[j] += vrow[j];
-        }
-        layer.b_vel[i] = momentum * layer.b_vel[i] - learning_rate * di;
-        layer.b[i] += layer.b_vel[i];
-      }
-    }
-  }
-  const double mse = ss / static_cast<double>(y.size());
-  static metrics::Gauge& loss = metrics::gauge("ml.train_loss");
-  loss.set(mse);
-  trace::counter("ml.train_loss", mse);
-  return mse;
 }
 
 double Mlp::hidden_unit_saliency(std::size_t layer, std::size_t unit) const {
@@ -418,35 +300,65 @@ void Mlp::save(serial::Writer& writer) const {
   }
 }
 
+namespace {
+
+/// A model file whose fields disagree fails here, naming the field, rather
+/// than in a later forward pass that trusts them.
+void check_field(bool ok, const std::string& what) {
+  if (!ok) throw IoError("Mlp::load: " + what);
+}
+
+}  // namespace
+
 Mlp Mlp::load(serial::Reader& reader) {
   reader.expect_tag("mlp");
   Mlp net;
   net.n_inputs_ = reader.u64();
+  check_field(net.n_inputs_ > 0, "n_inputs is 0");
   const std::uint64_t n_hidden = reader.u64();
   for (std::uint64_t i = 0; i < n_hidden; ++i) {
     net.hidden_sizes_.push_back(reader.u64());
+    check_field(net.hidden_sizes_.back() > 0,
+                "hidden size " + std::to_string(i) + " is 0");
   }
   const std::uint64_t n_inputs_flags = reader.u64();
+  check_field(n_inputs_flags == net.n_inputs_,
+              "input_enabled has " + std::to_string(n_inputs_flags) +
+                  " flags for " + std::to_string(net.n_inputs_) + " inputs");
   for (std::uint64_t i = 0; i < n_inputs_flags; ++i) {
     net.input_enabled_.push_back(reader.boolean());
   }
   const std::uint64_t n_layers = reader.u64();
+  check_field(n_layers == n_hidden + 1,
+              std::to_string(n_layers) + " layers for " +
+                  std::to_string(n_hidden) + " hidden sizes");
+  std::size_t fan_in = net.n_inputs_;
   for (std::uint64_t i = 0; i < n_layers; ++i) {
+    const std::string field = "layer " + std::to_string(i);
     Layer layer;
     layer.w = load_matrix(reader);
     layer.w_mask = load_matrix(reader);
     layer.b = reader.f64_vector();
     layer.output = reader.boolean();
-    DSML_REQUIRE(layer.w.same_shape(layer.w_mask) &&
-                     layer.b.size() == layer.w.rows(),
-                 "Mlp::load: inconsistent layer shapes");
+    check_field(layer.w.same_shape(layer.w_mask) &&
+                    layer.b.size() == layer.w.rows(),
+                field + " weights, mask and biases differ in shape");
+    check_field(layer.w.cols() == fan_in,
+                field + " has " + std::to_string(layer.w.cols()) +
+                    " columns for " + std::to_string(fan_in) + " inputs");
+    const bool last = (i + 1 == n_layers);
+    const std::size_t rows = last ? 1 : net.hidden_sizes_[i];
+    check_field(layer.w.rows() == rows,
+                field + " has " + std::to_string(layer.w.rows()) +
+                    " rows, expected " + std::to_string(rows));
+    check_field(layer.output == last,
+                field + (last ? " is not the output layer"
+                              : " is an output layer before the last"));
     layer.w_vel = linalg::Matrix(layer.w.rows(), layer.w.cols());
     layer.b_vel.assign(layer.b.size(), 0.0);
+    fan_in = layer.w.rows();
     net.layers_.push_back(std::move(layer));
   }
-  DSML_REQUIRE(!net.layers_.empty() &&
-                   net.layers_.front().w.cols() == net.n_inputs_,
-               "Mlp::load: input width mismatch");
   return net;
 }
 

@@ -8,6 +8,12 @@
 // variation of steepest descent" the paper cites), sample order reshuffled
 // every epoch from a caller-supplied deterministic Rng.
 //
+// An Mlp holds its layers row-major (fan_out x fan_in) and does not train
+// itself: ml::MlpTrainer (ml/mlp_trainer.hpp) takes one for a training run,
+// holds every layer transposed for all of the run's epochs and validation
+// passes, steps it N units per vector, and rebuilds a row-major Mlp,
+// velocities included, from its best-on-validation snapshot at the end.
+//
 // The prune-based regimes need structural surgery, so the network supports
 // removing hidden units, disabling input features, and magnitude-based
 // weight pruning with frozen masks.
@@ -54,15 +60,6 @@ class Mlp {
   /// (same per-element addition order; see linalg/kernels.hpp).
   std::vector<double> predict(const linalg::Matrix& x) const;
 
-  /// Mean squared error over a batch (batched forward, serial reduction in
-  /// row order — bit-identical to the per-row formulation).
-  double mse(const linalg::Matrix& x, std::span<const double> y) const;
-
-  /// One epoch of online backprop over (x, y) in a random order; returns the
-  /// epoch's running MSE (computed pre-update per sample).
-  double train_epoch(const linalg::Matrix& x, std::span<const double> y,
-                     double learning_rate, double momentum, Rng& rng);
-
   // ---- structural surgery (for the prune regimes) ----
 
   /// L1 norm of the outgoing weights of one hidden unit — the saliency used
@@ -93,12 +90,14 @@ class Mlp {
   void prune_smallest_weights(double fraction);
 
   /// Persist weights/masks/topology; momentum buffers reset on load.
+  /// load() throws IoError naming the field when the shapes do not chain:
+  /// one flag per input, each layer's columns equal to the previous layer's
+  /// rows (the first layer's to the inputs), layer widths equal to the
+  /// hidden sizes, and one output layer of one row, last.
   void save(serial::Writer& writer) const;
   static Mlp load(serial::Reader& reader);
 
- private:
-  Mlp() = default;  // used by load()
-
+  /// One layer's parameters, row-major: unit i's weights are row i.
   struct Layer {
     linalg::Matrix w;         // out x in
     linalg::Matrix w_mask;    // 1 trainable, 0 frozen
@@ -108,8 +107,13 @@ class Mlp {
     bool output = false;      // linear activation if true, sigmoid otherwise
   };
 
-  void forward_pass(std::span<const double> x,
-                    std::vector<std::vector<double>>& activations) const;
+  /// The layers, first hidden to output.
+  std::span<const Layer> layers() const noexcept { return layers_; }
+
+ private:
+  friend class MlpTrainer;  // writes a run's weights back
+
+  Mlp() = default;  // used by load()
 
   /// Batched forward over `rows` consecutive input rows (row-major, leading
   /// dimension ldx) writing one prediction per row into out[0..rows).

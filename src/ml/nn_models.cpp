@@ -12,6 +12,7 @@
 #include "common/trace.hpp"
 #include "data/split.hpp"
 #include "ml/metrics.hpp"
+#include "ml/mlp_trainer.hpp"
 
 namespace dsml::ml {
 
@@ -76,7 +77,8 @@ NeuralRegressor::Candidate NeuralRegressor::train_candidate(
     const double scale = lr_scale(net);
     a_lr0 *= scale;
     a_lr1 *= scale;
-    Candidate best{net, net.mse(x_val, y_val)};
+    MlpTrainer trainer(std::move(net));
+    double best_val = trainer.mse(x_val, y_val);
     const double decay =
         max_epochs > 1 ? std::pow(a_lr1 / a_lr0,
                                   1.0 / static_cast<double>(max_epochs - 1))
@@ -85,24 +87,24 @@ NeuralRegressor::Candidate NeuralRegressor::train_candidate(
     std::size_t since_improve = 0;
     for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
       const double train_mse =
-          net.train_epoch(x_learn, y_learn, lr, options_.momentum, r);
+          trainer.train_epoch(x_learn, y_learn, lr, options_.momentum, r);
       lr *= decay;
-      const double val = net.mse(x_val, y_val);
+      const double val = trainer.mse(x_val, y_val);
       if (DSML_FAIL_POISON("nn.nonfinite_loss") || !std::isfinite(train_mse) ||
           !std::isfinite(val)) {
         throw TrainingError(to_string(options_.method),
                             "epoch " + std::to_string(epoch),
                             "non-finite loss (training diverged)");
       }
-      if (val < best.val_mse * (1.0 - 1e-5)) {
-        best.net = net;
-        best.val_mse = val;
+      if (val < best_val * (1.0 - 1e-5)) {
+        trainer.keep_best();
+        best_val = val;
         since_improve = 0;
       } else if (++since_improve >= patience) {
         break;
       }
     }
-    return best;
+    return {trainer.best(), best_val};
   };
   // Retries must not consume the caller's RNG (that would shift every later
   // draw even on clean runs), so they use a private generator reseeded from
@@ -136,15 +138,16 @@ RetrainResult retrain(Mlp net, const linalg::Matrix& xl,
   const double scale = lr_scale(net);
   lr0 *= scale;
   lr1 *= scale;
-  RetrainResult best{net, net.mse(xv, yv)};
+  MlpTrainer trainer(std::move(net));
+  double best_val = trainer.mse(xv, yv);
   const double decay =
       epochs > 1 ? std::pow(lr1 / lr0, 1.0 / static_cast<double>(epochs - 1))
                  : 1.0;
   double lr = lr0;
   for (std::size_t e = 0; e < epochs; ++e) {
-    const double train_mse = net.train_epoch(xl, yl, lr, momentum, rng);
+    const double train_mse = trainer.train_epoch(xl, yl, lr, momentum, rng);
     lr *= decay;
-    const double val = net.mse(xv, yv);
+    const double val = trainer.mse(xv, yv);
     // No local retry here: retraining starts from an already-good snapshot,
     // so divergence means the caller's whole growth/prune step is suspect.
     // The degradation layers upstream (estimate_error, SelectModel, dse
@@ -153,12 +156,12 @@ RetrainResult retrain(Mlp net, const linalg::Matrix& xl,
       throw TrainingError("NN", "retrain epoch " + std::to_string(e),
                           "non-finite loss (training diverged)");
     }
-    if (val < best.val_mse * (1.0 - 1e-5)) {
-      best.net = net;
-      best.val_mse = val;
+    if (val < best_val * (1.0 - 1e-5)) {
+      trainer.keep_best();
+      best_val = val;
     }
   }
-  return best;
+  return {trainer.best(), best_val};
 }
 
 }  // namespace
@@ -480,6 +483,12 @@ NeuralRegressor NeuralRegressor::load(serial::Reader& reader) {
   NeuralRegressor model(opt);
   model.encoder_ = data::Encoder::load(reader);
   model.net_ = Mlp::load(reader);
+  if (model.encoder_.n_outputs() != model.net_->n_inputs()) {
+    throw IoError("NeuralRegressor::load: the encoder's width " +
+                  std::to_string(model.encoder_.n_outputs()) +
+                  " differs from the network's " +
+                  std::to_string(model.net_->n_inputs()) + " inputs");
+  }
   model.train_x_ = load_matrix(reader);
   model.train_y_scaled_ = reader.f64_vector();
   return model;

@@ -178,11 +178,14 @@ void require_outcomes(std::span<const Instr> trace,
                "run_timing_pass: outcome buffer and trace differ in size");
 }
 
-/// The one-lane kernel for width W and U-unit pools.
+/// The one-lane kernel for width W and U-unit pools. Campaign shards time
+/// every configuration here, and its speed moved by a few percent with where
+/// the linker happened to place it, so each instantiation starts on a
+/// 64-byte boundary.
 template <std::uint32_t W, std::size_t U>
-std::uint64_t time_one_lane(const LaneTables<1>& t,
-                            std::span<const Instr> trace,
-                            std::span<const Outcome> outcomes) {
+[[gnu::aligned(64)]] std::uint64_t time_one_lane(
+    const LaneTables<1>& t, std::span<const Instr> trace,
+    std::span<const Outcome> outcomes) {
   LaneState<1> state{};
   std::uint64_t cycles = 0;
   detail::time_lanes<detail::OneLane<W, U>>(t, state, trace.data(),

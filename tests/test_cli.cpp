@@ -536,6 +536,30 @@ TEST_F(CliTest, PredictWithoutModelFails) {
   EXPECT_NE(result.err.find("--model"), std::string::npos);
 }
 
+TEST_F(CliTest, PredictOnACorruptModelFailsNamingTheField) {
+  // The committed LR model with its selected column 13 changed to 100000:
+  // the loader rejects the column instead of predict reading past the
+  // encoded matrix.
+  std::ifstream in(std::string(DSML_REPO_ROOT) + "/tests/data/serve/model.dsml");
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string model = text.str();
+  const std::string selected = " 6 0 5 7 10 11 13 6 ";
+  const std::size_t at = model.find(selected);
+  ASSERT_NE(at, std::string::npos);
+  model.replace(at, selected.size(), " 6 0 5 7 10 11 100000 6 ");
+  const std::string model_path =
+      (std::filesystem::temp_directory_path() / "dsml_cli_corrupt_model.dsml")
+          .string();
+  std::ofstream(model_path) << model;
+  const auto result = run_cli({"predict", "--model", model_path});
+  std::filesystem::remove(model_path);
+  EXPECT_EQ(result.exit_code, 1) << result.out;
+  EXPECT_NE(result.err.find("error:"), std::string::npos) << result.err;
+  EXPECT_NE(result.err.find("selected column 100000"), std::string::npos)
+      << result.err;
+}
+
 TEST_F(CliTest, TraceFlagWritesChromeTraceFile) {
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "dsml_cli_trace.json")

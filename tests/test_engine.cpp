@@ -866,6 +866,23 @@ TEST(Serve, CrlfTerminatedLinesParse) {
   EXPECT_EQ(handler.summary().rows, 1u);
 }
 
+TEST(Serve, OneRegistryLookupPerRequest) {
+  // The handler resolves the model once and hands that entry to its
+  // session, so the version a response reports is the entry that predicted.
+  ModelRegistry registry;
+  ServeHandler handler = make_handler(registry);
+  metrics::Counter& lookups = metrics::counter("registry.lookups");
+  const std::string request = "{\"rows\": [" + train_row_json() + "]}";
+  handler.handle(request);  // the first request also opens the session
+  const std::uint64_t before = lookups.value();
+  constexpr std::uint64_t kRequests = 5;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const std::string response = handler.handle(request);
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  EXPECT_EQ(lookups.value(), before + kRequests);
+}
+
 TEST(Serve, RequestLargerThanQueueFailsAloneLoopKeepsServing) {
   // The stdin loop's row bound: one row past it is answered alone with
   // StateError, a request at the bound is served, and so is the next line.

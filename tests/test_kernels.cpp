@@ -217,7 +217,7 @@ void check_affine_forward(bool sigmoid_activation) {
   kernels::affine_forward(x.data(), ldx, rows, fan_in, w.data(), bias.data(),
                           fan_out, sigmoid_activation, out.data(), ldo, ws);
   // Scalar reference: z starts from the bias, fan-in terms added ascending —
-  // the exact order Mlp::forward_pass uses.
+  // the exact order of MlpTrainer's step and of the tests' reference loop.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t i = 0; i < fan_out; ++i) {
       double z = bias[i];

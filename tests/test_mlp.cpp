@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "ml/mlp_trainer.hpp"
 
 namespace dsml::ml {
 namespace {
@@ -71,12 +72,12 @@ TEST(Mlp, TrainingReducesError) {
   Rng rng(4);
   const linalg::Matrix x = toy_inputs(64, rng);
   const std::vector<double> y = toy_targets(x);
-  Mlp net(2, {6}, rng);
-  const double before = net.mse(x, y);
+  MlpTrainer trainer(Mlp(2, {6}, rng));
+  const double before = trainer.mse(x, y);
   for (int epoch = 0; epoch < 200; ++epoch) {
-    net.train_epoch(x, y, 0.2, 0.9, rng);
+    trainer.train_epoch(x, y, 0.2, 0.9, rng);
   }
-  const double after = net.mse(x, y);
+  const double after = trainer.mse(x, y);
   EXPECT_LT(after, before * 0.2);
   EXPECT_LT(after, 0.01);
 }
@@ -139,9 +140,11 @@ TEST(Mlp, DisabledInputStaysZeroThroughTraining) {
   const std::vector<double> y = toy_targets(x);
   Mlp net(2, {4}, rng);
   net.disable_input(0);
+  MlpTrainer trainer(std::move(net));
   for (int epoch = 0; epoch < 50; ++epoch) {
-    net.train_epoch(x, y, 0.2, 0.9, rng);
+    trainer.train_epoch(x, y, 0.2, 0.9, rng);
   }
+  net = trainer.current();
   const std::vector<double> a = {0.0, 0.5};
   const std::vector<double> b = {1.0, 0.5};
   EXPECT_DOUBLE_EQ(net.predict(a), net.predict(b));
@@ -185,18 +188,19 @@ TEST(Mlp, PrunedWeightsStayFrozenDuringTraining) {
   Mlp net(2, {4}, rng);
   net.prune_smallest_weights(0.5);
   const std::size_t frozen_params = net.parameter_count();
+  MlpTrainer trainer(std::move(net));
   for (int epoch = 0; epoch < 20; ++epoch) {
-    net.train_epoch(x, y, 0.2, 0.9, rng);
+    trainer.train_epoch(x, y, 0.2, 0.9, rng);
   }
-  EXPECT_EQ(net.parameter_count(), frozen_params);
+  EXPECT_EQ(trainer.current().parameter_count(), frozen_params);
 }
 
 TEST(Mlp, TrainEpochReturnsMse) {
   Rng rng(15);
   const linalg::Matrix x = toy_inputs(16, rng);
   const std::vector<double> y = toy_targets(x);
-  Mlp net(2, {3}, rng);
-  const double mse = net.train_epoch(x, y, 0.1, 0.9, rng);
+  MlpTrainer trainer(Mlp(2, {3}, rng));
+  const double mse = trainer.train_epoch(x, y, 0.1, 0.9, rng);
   EXPECT_GT(mse, 0.0);
   EXPECT_TRUE(std::isfinite(mse));
 }

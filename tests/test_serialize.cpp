@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -109,6 +110,14 @@ TEST(Serialize, UnfittedModelThrows) {
   EXPECT_THROW(save_model(model, buffer), InvalidArgument);
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 TEST(Serialize, GarbageInputThrows) {
   std::stringstream buffer("not a model at all");
   EXPECT_THROW(load_model(buffer), IoError);
@@ -116,11 +125,22 @@ TEST(Serialize, GarbageInputThrows) {
   // allocated up front: a huge string length, vector count, or model
   // loader's count or shape is an IoError, not std::bad_alloc or
   // std::length_error.
+  const std::string header =
+      "dsml-model\n1 6:neural neural\n0 7 100 0x1p-1 0x1p+0 encoder\n";
+  // An encoder one column wide (its intercept), then a one-input network
+  // without hidden layers up to its input flags.
   const std::string neural =
-      "dsml-model\n1 6:neural neural\n0 7 100 0x1p-1 0x1p+0 encoder\n"
-      "1 0 1 0 1 1 0x0p+0 0x1p+0 0 0 mlp\n1 0 ";
+      header + "1 0 1 0 1 1 0x0p+0 0x1p+0 0 0 mlp\n1 0 ";
   const std::string one_layer =
-      neural + "0 1 1 1 0x1p+0 1 1 0x1p+0 1 0x0p+0 1 ";
+      neural + "1 1 1 1 1 0x1p+0 1 1 0x1p+0 1 0x0p+0 1 ";
+  // The committed LR model (column 13 selected) with a selected column far
+  // past its encoder's width.
+  std::string lr_column =
+      read_text(std::string(DSML_REPO_ROOT) + "/tests/data/serve/model.dsml");
+  const std::string selected = " 6 0 5 7 10 11 13 6 ";
+  const std::size_t at = lr_column.find(selected);
+  ASSERT_NE(at, std::string::npos);
+  lr_column.replace(at, selected.size(), " 6 0 5 7 10 11 100000 6 ");
   const std::string inputs[] = {
       "dsml-model\n1 99999999999999:linreg\n",
       "dsml-model\n1 6:linreg linreg\n0 0x1p-4 0x1p-3 0 encoder\n"
@@ -131,11 +151,31 @@ TEST(Serialize, GarbageInputThrows) {
       // Mlp::load, input-flag count.
       neural + "999999999999999999\n",
       // load_matrix, a layer's shape.
-      neural + "0 1 999999999 999999999\n",
+      neural + "1 1 1 999999999 999999999\n",
       // load_matrix, a shape whose element count overflows.
-      neural + "0 1 4294967296 4294967296 4294967296 4294967296 0 1\n",
+      neural + "1 1 1 4294967296 4294967296 4294967296 4294967296 0 1\n",
       // NeuralRegressor::load, the retained training sample's shape.
       one_layer + "999999999 999999999\n",
+      // The rest are well-formed files whose fields disagree; each used to
+      // load and then crash or mispredict.
+      // LinearRegression::load, a selected column past the encoded width.
+      lr_column,
+      // Mlp::load, a 1 x 3 output layer after a hidden layer of 2 units.
+      neural.substr(0, neural.size() - 4) +
+          "1 1 2 1 1 2 2 1 0x1p+0 0x1p+0 2 1 0x1p+0 0x1p+0 2 0x0p+0 0x0p+0 0 "
+          "1 3 0x1p+0 0x1p+0 0x1p+0 1 3 0x1p+0 0x1p+0 0x1p+0 1 0x0p+0 1 "
+          "1 1 0x0p+0 1 0x0p+0\n",
+      // Mlp::load, one input flag for two inputs (the encoder is two
+      // columns wide: one feature and the intercept).
+      header +
+          "1 0 1 0 1 1 0x0p+0 0x1p+0 1 1:a 0 -1 0x0p+0 0x1p+0 0 mlp\n"
+          "2 0 1 1 1 1 2 0x1p+0 0x1p+0 1 2 0x1p+0 0x1p+0 1 0x0p+0 1 "
+          "1 2 0x0p+0 0x0p+0 1 0x0p+0\n",
+      // NeuralRegressor::load, a one-column encoder before a two-input
+      // network.
+      neural.substr(0, neural.size() - 4) +
+          "2 0 2 1 1 1 1 2 0x1p+0 0x1p+0 1 2 0x1p+0 0x1p+0 1 0x0p+0 1 "
+          "1 2 0x0p+0 0x0p+0 1 0x0p+0\n",
   };
   for (const std::string& text : inputs) {
     std::stringstream in(text);
