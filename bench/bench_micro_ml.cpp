@@ -7,8 +7,11 @@
 // epoch budgets tuned for them).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "data/split.hpp"
+#include "ml/mlp_trainer.hpp"
 #include "ml/model_zoo.hpp"
 #include "specdata/generator.hpp"
 
@@ -92,6 +95,54 @@ void BM_PredictNeuralNetwork(benchmark::State& state) {
                           static_cast<std::int64_t>(train.n_rows()));
 }
 
+// NN-E's wide topology menu for a 21-input fit, trained through
+// ml::MlpTrainer with the Arg-lane step: hidden {5}, {10}, {21}, {10, 5},
+// {31}, {42} and {21, 10} on 12 learning and 11 validation rows (sets as
+// small as an adaptive campaign's, whose epochs average about ten samples),
+// 50 epochs each with a validation pass and a snapshot after every epoch,
+// as train_candidate runs them. Skipped for a width the host lacks; compare
+// the rows to see what each width buys.
+void BM_TrainerMenu(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  if (!ml::MlpTrainer::lanes_supported(lanes)) {
+    state.SkipWithError("no step of this width on this host");
+    return;
+  }
+  constexpr std::size_t kInputs = 21;
+  Rng rng(5);
+  linalg::Matrix xl(12, kInputs);
+  linalg::Matrix xv(11, kInputs);
+  std::vector<double> yl(xl.rows());
+  std::vector<double> yv(xv.rows());
+  for (double& v : xl.data()) v = rng.uniform();
+  for (double& v : xv.data()) v = rng.uniform();
+  for (double& v : yl) v = rng.uniform();
+  for (double& v : yv) v = rng.uniform();
+  const std::vector<std::vector<std::size_t>> menu = {
+      {5}, {10}, {21}, {10, 5}, {31}, {42}, {21, 10}};
+  std::vector<ml::Mlp> starts;
+  for (const auto& hidden : menu) starts.emplace_back(kInputs, hidden, rng);
+  for (auto _ : state) {
+    Rng order(9);
+    double best = 0.0;
+    for (const ml::Mlp& start : starts) {
+      ml::MlpTrainer trainer(start, lanes);
+      best = trainer.mse(xv, yv);
+      for (int epoch = 0; epoch < 50; ++epoch) {
+        trainer.train_epoch(xl, yl, 0.1, 0.9, order);
+        const double val = trainer.mse(xv, yv);
+        if (val < best) {
+          trainer.keep_best();
+          best = val;
+        }
+      }
+      ml::Mlp kept = trainer.best();
+      benchmark::DoNotOptimize(kept);
+    }
+    benchmark::DoNotOptimize(best);
+  }
+}
+
 BENCHMARK(BM_FitLinearRegressionEnter)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FitLinearRegressionBackward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FitNnSingle)->Unit(benchmark::kMillisecond);
@@ -100,6 +151,8 @@ BENCHMARK(BM_FitNnExhaustivePrune)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SelectRowsHalfSplit)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictLinearRegression)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PredictNeuralNetwork)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TrainerMenu)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -110,23 +110,6 @@ double Network::train_epoch(const linalg::Matrix& x,
   return ss / static_cast<double>(y.size());
 }
 
-double Network::mse(const linalg::Matrix& x, std::span<const double> y) const {
-  DSML_REQUIRE(x.rows() == y.size() && !y.empty(),
-               "reference::Network::mse: size mismatch");
-  std::vector<std::vector<double>> activations(layers_.size() + 1);
-  activations[0].assign(n_inputs_, 0.0);
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    activations[li + 1].assign(layers_[li].w.rows(), 0.0);
-  }
-  double ss = 0.0;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    forward_pass(x.row(r), activations);
-    const double d = activations.back()[0] - y[r];
-    ss += d * d;
-  }
-  return ss / static_cast<double>(y.size());
-}
-
 double mse(const Mlp& net, const linalg::Matrix& x,
            std::span<const double> y) {
   DSML_REQUIRE(x.rows() == y.size() && !y.empty(),

@@ -1,8 +1,9 @@
 // The reference the tests hold ml::MlpTrainer to: the scalar online-SGD
 // loop that trained an Mlp before the trainer replaced it, one unit and one
-// weight at a time over row-major layers. The trainer's lane step must give
-// the same bits for every weight, velocity, bias, epoch MSE and validation
-// MSE (tests/test_mlp_trainer.cpp).
+// weight at a time over row-major layers, and the batched MSE that validated
+// each epoch. The trainer's lane step must give the same bits for every
+// weight, velocity, bias, epoch MSE and validation MSE
+// (tests/test_mlp_trainer.cpp).
 //
 // No code in src/ runs the reference, so it stays frozen: a change to the
 // trainer cannot also change what the tests compare it with. It counts no
@@ -28,10 +29,6 @@ class Network {
   /// update).
   double train_epoch(const linalg::Matrix& x, std::span<const double> y,
                      double learning_rate, double momentum, Rng& rng);
-
-  /// Mean squared error over (x, y): a forward pass per row in order, then
-  /// ss / n.
-  double mse(const linalg::Matrix& x, std::span<const double> y) const;
 
   std::span<const Mlp::Layer> layers() const noexcept { return layers_; }
 

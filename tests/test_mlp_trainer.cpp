@@ -86,6 +86,16 @@ Data random_data(std::size_t rows, std::size_t cols, Rng& rng) {
   return d;
 }
 
+/// The trainer's validation MSE against reference::mse, the batched
+/// predict that validated each epoch before the trainer, on the trainer's
+/// live network.
+void expect_same_validation(MlpTrainer& trainer, const Data& val,
+                            const std::string& what) {
+  const double got = trainer.mse(val.x, val.y);
+  const double want = reference::mse(trainer.current(), val.x, val.y);
+  EXPECT_TRUE(same_bits(got, want)) << what << ": " << got << " vs " << want;
+}
+
 /// Trains `start` for `epochs` with the `lanes`-wide trainer and with the
 /// reference, each from the same seed, and compares every epoch's MSE and
 /// validation MSE, then the networks. Returns the trained network.
@@ -96,8 +106,7 @@ Mlp train_both(const Mlp& start, std::size_t lanes, const Data& learn,
   reference::Network ref(start);
   Rng trainer_rng(seed);
   Rng ref_rng(seed);
-  EXPECT_TRUE(same_bits(trainer.mse(val.x, val.y), ref.mse(val.x, val.y)))
-      << what << ", before training";
+  expect_same_validation(trainer, val, what + ", before training");
   double lr = 0.4;
   for (std::size_t e = 0; e < epochs; ++e) {
     const double got =
@@ -105,11 +114,9 @@ Mlp train_both(const Mlp& start, std::size_t lanes, const Data& learn,
     const double want = ref.train_epoch(learn.x, learn.y, lr, 0.9, ref_rng);
     EXPECT_TRUE(same_bits(got, want))
         << what << ", epoch " << e << ": " << got << " vs " << want;
-    const double got_val = trainer.mse(val.x, val.y);
-    const double want_val = ref.mse(val.x, val.y);
-    EXPECT_TRUE(same_bits(got_val, want_val))
-        << what << ", validation after epoch " << e << ": " << got_val
-        << " vs " << want_val;
+    expect_same_validation(trainer, val,
+                           what + ", validation after epoch " +
+                               std::to_string(e));
     lr *= 0.9;
   }
   Mlp trained = trainer.current();
