@@ -2,8 +2,9 @@
 // one-config simulate() path (a one-configuration simulate_batch), the
 // timing passes a sweep's L2 keys take (one configuration per one-lane
 // pass, eight or four per vector pass), cache and predictor lookup costs,
-// and trace generation speed. The timing benchmarks count configurations x
-// instructions, so their items/s compare per configuration.
+// trace generation speed, and the reduced trace a sweep builds. The timing
+// benchmarks count configurations x instructions, so their items/s compare
+// per configuration.
 //
 // The timing benchmarks time the outcome stream and group counters that
 // simulate_batch times: detail::FunctionalStreams, then one
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "dse/sweep.hpp"
 #include "sim/branch.hpp"
 #include "sim/cache.hpp"
 #include "sim/core.hpp"
@@ -208,6 +210,21 @@ void BM_SimPointSelection(benchmark::State& state) {
   }
 }
 
+// The trace stage of a sweep at the CLI's fidelity (600k instructions, 30k
+// intervals, at most 4 SimPoints): the streamed pass over the full trace,
+// the SimPoint choice, and the chosen intervals regenerated on the pool.
+void BM_BuildReducedTrace(benchmark::State& state, const std::string& app) {
+  dse::SweepOptions options;
+  options.full_trace_instructions = 600'000;
+  options.interval_instructions = 30'000;
+  options.max_clusters = 4;
+  for (auto _ : state) {
+    auto reduced = dse::build_reduced_trace(app, options);
+    benchmark::DoNotOptimize(reduced);
+  }
+  state.SetItemsProcessed(state.iterations() * 600'000);
+}
+
 BENCHMARK(BM_SimulateTrace)->Arg(0)->Arg(1151)->Arg(4607)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TimingPass)->Arg(0)->Arg(1151)->Arg(4607)
@@ -218,6 +235,16 @@ BENCHMARK(BM_CacheAccess);
 BENCHMARK(BM_BranchPredictor)->DenseRange(0, 3);
 BENCHMARK(BM_GenerateTrace)->Arg(100'000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimPointSelection)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildReducedTrace, applu, std::string("applu"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildReducedTrace, equake, std::string("equake"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildReducedTrace, gcc, std::string("gcc"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildReducedTrace, mesa, std::string("mesa"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildReducedTrace, mcf, std::string("mcf"))
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,7 +13,6 @@
 #include "common/strings.hpp"
 #include "common/trace.hpp"
 #include "sim/core.hpp"
-#include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
 namespace dsml::dse {
@@ -122,14 +121,13 @@ std::vector<double> simulate_cycles(
 
 ReducedTrace build_reduced_trace(const std::string& app,
                                  const SweepOptions& options) {
-  const workload::AppProfile profile = workload::spec_profile(app);
-  const sim::Trace full = workload::generate_trace(
-      profile, options.full_trace_instructions, options.trace_seed);
-  const workload::SimPoints points = workload::choose_simpoints(
-      full, options.interval_instructions, options.max_clusters);
+  workload::Reduction reduction = workload::reduce_trace(
+      workload::spec_profile(app), options.full_trace_instructions,
+      options.trace_seed, options.interval_instructions,
+      options.max_clusters);
   ReducedTrace out;
-  out.trace = workload::extract_intervals(full, points);
-  out.simpoint_count = points.points.size();
+  out.trace = std::move(reduction.trace);
+  out.simpoint_count = reduction.points.points.size();
   return out;
 }
 

@@ -52,11 +52,12 @@ struct SweepShard {
   std::size_t simulated_instructions = 0;
 };
 
-/// The deterministic front half of a sweep: generate the app's full
-/// instruction stream, pick SimPoints, extract the reduced trace. Depends
-/// only on (app, options), so every process that builds it — one sweeping
-/// locally, or each worker of a sharded fleet — simulates the identical
-/// reduced trace.
+/// The deterministic front half of a sweep: the reduced trace of the app's
+/// full instruction stream (workload::reduce_trace), which streams the full
+/// trace once for its SimPoints and regenerates only the chosen intervals,
+/// so it never holds the full trace. Depends only on (app, options), so
+/// every process that builds it — one sweeping locally, or each worker of a
+/// sharded fleet — simulates the identical reduced trace.
 struct ReducedTrace {
   sim::Trace trace;
   std::size_t simpoint_count = 0;

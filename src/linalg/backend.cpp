@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/cpu.hpp"
 #include "common/error.hpp"
 #include "linalg/simd/simd_kernels.hpp"
 
@@ -18,17 +19,15 @@ std::atomic<int> g_override{-1};
 std::atomic<int> g_resolved_default{-1};
 
 const simd::SimdOps* detect_simd_ops() noexcept {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #if defined(DSML_LINALG_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) {
+  if (cpu::has_avx2()) {
     if (const simd::SimdOps* ops = simd::avx2_ops()) return ops;
   }
 #endif
 #if defined(DSML_LINALG_HAVE_SSE2)
-  if (__builtin_cpu_supports("sse2")) {
+  if (cpu::has_sse2()) {
     if (const simd::SimdOps* ops = simd::sse2_ops()) return ops;
   }
-#endif
 #endif
   return nullptr;
 }

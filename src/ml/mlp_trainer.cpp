@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/cpu.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -61,17 +62,8 @@ double* aligned_start(std::vector<double>& buffer) {
 }  // namespace
 
 bool MlpTrainer::lanes_supported(std::size_t n) noexcept {
-  if (n == 2) return true;
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  // cpuid never changes while the process runs, so detect once. GCC's
-  // avx512f check includes the OS saving the 512-bit state.
-  static const bool four = kHaveFourLanes && __builtin_cpu_supports("avx2");
-  static const bool eight =
-      kHaveEightLanes && __builtin_cpu_supports("avx512f");
-  return (n == 4 && four) || (n == 8 && eight);
-#else
-  return false;
-#endif
+  return n == 2 || (n == 4 && kHaveFourLanes && cpu::has_avx2()) ||
+         (n == 8 && kHaveEightLanes && cpu::has_avx512f());
 }
 
 std::size_t MlpTrainer::lane_width() noexcept {

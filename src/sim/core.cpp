@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "common/cpu.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
@@ -246,17 +247,9 @@ SimResult run_timing_pass(const ProcessorConfig& config,
 }
 
 bool detail::lanes_supported(std::size_t n) noexcept {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  // cpuid never changes while the process runs, so detect once. AVX-512F
-  // is all the eight-lane TU is compiled for, and GCC's check includes the
-  // OS saving the 512-bit state.
-  static const bool four = kHaveFourLanes && __builtin_cpu_supports("avx2");
-  static const bool eight =
-      kHaveEightLanes && __builtin_cpu_supports("avx512f");
-  return (n == 4 && four) || (n == 8 && eight);
-#else
-  return false;
-#endif
+  // AVX-512F is all the eight-lane TU is compiled for.
+  return (n == 4 && kHaveFourLanes && cpu::has_avx2()) ||
+         (n == 8 && kHaveEightLanes && cpu::has_avx512f());
 }
 
 std::size_t detail::lane_width() noexcept {

@@ -4,11 +4,94 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "workload/generator.hpp"
 
 namespace dsml::workload {
+
+namespace {
+
+/// The ±1 entry of the random projection matrix at (block, dim), drawn from
+/// a hash of the block's entry pc so the (blocks x dims) matrix is never
+/// materialised.
+double projection_sign(std::uint64_t block_pc, std::size_t dim,
+                       std::uint64_t seed) {
+  std::uint64_t h = block_pc * 0x9e3779b97f4a7c15ULL + seed * 0xbf58476d1ce4e5b9ULL +
+                    dim * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 29;
+  // Map to {-1, +1} (sparse Achlioptas-style projections also work; the
+  // dense sign projection is simplest and distance-preserving enough).
+  return (h & 1) != 0 ? 1.0 : -1.0;
+}
+
+/// collect_bbv, fed one instruction at a time: every full interval's vector
+/// is complete when its last instruction is added, so a pass over a trace
+/// that is never stored collects the same vectors.
+class BbvBuilder {
+ public:
+  BbvBuilder(std::size_t interval_length, std::size_t projected_dims,
+             std::uint64_t seed, std::size_t n_intervals)
+      : dims_(projected_dims), seed_(seed) {
+    out_.interval_length = interval_length;
+    out_.vectors.reserve(n_intervals);
+  }
+
+  void add(const sim::Instr& ins) {
+    // Instruction 0 of each interval and every instruction following a
+    // branch starts a block; blocks are keyed by entry pc.
+    if (block_len_ == 0) block_pc_ = ins.pc;
+    ++block_len_;
+    const bool interval_end = ++filled_ == out_.interval_length;
+    if (ins.op == sim::OpClass::kBranch || interval_end) {
+      // SimPoint weights block executions by block length so the vector
+      // reflects instructions spent, not just visit counts.
+      counts_[block_pc_] += static_cast<double>(block_len_);
+      block_len_ = 0;
+    }
+    if (interval_end) close_interval();
+  }
+
+  BasicBlockVectors take() { return std::move(out_); }
+
+ private:
+  void close_interval() {
+    // A fresh map per interval: the sums below run in the map's iteration
+    // order, which depends on its bucket history.
+    const std::unordered_map<std::uint64_t, double> counts =
+        std::exchange(counts_, {});
+    filled_ = 0;
+    // L1 normalise, then project.
+    double total = 0.0;
+    for (const auto& [pc, c] : counts) total += c;
+    std::vector<double> projected(dims_, 0.0);
+    if (total > 0.0) {
+      for (const auto& [pc, c] : counts) {
+        const double w = c / total;
+        for (std::size_t d = 0; d < dims_; ++d) {
+          projected[d] += w * projection_sign(pc, d, seed_);
+        }
+      }
+    }
+    out_.vectors.push_back(std::move(projected));
+  }
+
+  std::size_t dims_;
+  std::uint64_t seed_;
+  BasicBlockVectors out_;
+  std::unordered_map<std::uint64_t, double> counts_;  // the open interval's
+  std::uint64_t block_pc_ = 0;
+  std::size_t block_len_ = 0;
+  std::size_t filled_ = 0;  // instructions of the open interval added
+};
+
+}  // namespace
 
 BasicBlockVectors collect_bbv(const sim::Trace& trace,
                               std::size_t interval_length,
@@ -18,60 +101,12 @@ BasicBlockVectors collect_bbv(const sim::Trace& trace,
   DSML_REQUIRE(projected_dims > 0, "collect_bbv: projected_dims must be > 0");
   DSML_REQUIRE(trace.size() >= interval_length,
                "collect_bbv: trace shorter than one interval");
-
-  BasicBlockVectors out;
-  out.interval_length = interval_length;
   const std::size_t n_intervals = trace.size() / interval_length;
-
-  // Identify block entries: instruction 0 and every instruction following a
-  // branch starts a block. Blocks are keyed by entry pc; the random
-  // projection row for each block is generated lazily from a hash of the pc
-  // so we never materialise the (blocks x dims) matrix.
-  auto projection_row = [&](std::uint64_t block_pc, std::size_t dim) {
-    std::uint64_t h = block_pc * 0x9e3779b97f4a7c15ULL + seed * 0xbf58476d1ce4e5b9ULL +
-                      dim * 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 29;
-    // Map to {-1, +1} (sparse Achlioptas-style projections also work; the
-    // dense sign projection is simplest and distance-preserving enough).
-    return (h & 1) != 0 ? 1.0 : -1.0;
-  };
-
-  out.vectors.reserve(n_intervals);
-  std::size_t idx = 0;
-  for (std::size_t iv = 0; iv < n_intervals; ++iv) {
-    std::unordered_map<std::uint64_t, double> counts;
-    std::uint64_t current_block = trace.instrs[idx].pc;
-    std::size_t block_len = 0;
-    for (std::size_t k = 0; k < interval_length; ++k, ++idx) {
-      const sim::Instr& ins = trace.instrs[idx];
-      ++block_len;
-      if (ins.op == sim::OpClass::kBranch || k + 1 == interval_length) {
-        // SimPoint weights block executions by block length so the vector
-        // reflects instructions spent, not just visit counts.
-        counts[current_block] += static_cast<double>(block_len);
-        if (idx + 1 < trace.size()) {
-          current_block = trace.instrs[idx + 1].pc;
-        }
-        block_len = 0;
-      }
-    }
-    // L1 normalise, then project.
-    double total = 0.0;
-    for (const auto& [pc, c] : counts) total += c;
-    std::vector<double> projected(projected_dims, 0.0);
-    if (total > 0.0) {
-      for (const auto& [pc, c] : counts) {
-        const double w = c / total;
-        for (std::size_t d = 0; d < projected_dims; ++d) {
-          projected[d] += w * projection_row(pc, d);
-        }
-      }
-    }
-    out.vectors.push_back(std::move(projected));
+  BbvBuilder bbv(interval_length, projected_dims, seed, n_intervals);
+  for (std::size_t i = 0; i < n_intervals * interval_length; ++i) {
+    bbv.add(trace.instrs[i]);
   }
-  return out;
+  return bbv.take();
 }
 
 namespace {
@@ -212,14 +247,14 @@ double k_means_bic(const std::vector<std::vector<double>>& points,
   return log_likelihood - free_params / 2.0 * std::log(n);
 }
 
-SimPoints choose_simpoints(const sim::Trace& trace,
-                           std::size_t interval_length,
-                           std::size_t max_clusters, std::uint64_t seed) {
-  trace::Span span("workload.choose_simpoints", "workload");
-  const BasicBlockVectors bbv = collect_bbv(trace, interval_length, 15, seed);
+namespace {
+
+/// choose_simpoints after its BBVs: k-means for k = 1..max_clusters, best
+/// BIC, per-cluster representative.
+SimPoints pick_simpoints(const BasicBlockVectors& bbv,
+                         std::size_t max_clusters, std::uint64_t seed) {
   DSML_REQUIRE(bbv.n_intervals() >= 1, "choose_simpoints: no intervals");
   Rng rng(seed);
-
   const std::size_t k_cap = std::min(max_clusters, bbv.n_intervals());
   KMeansResult best;
   double best_bic = -std::numeric_limits<double>::infinity();
@@ -233,7 +268,7 @@ SimPoints choose_simpoints(const sim::Trace& trace,
   }
 
   SimPoints sp;
-  sp.interval_length = interval_length;
+  sp.interval_length = bbv.interval_length;
   sp.n_intervals = bbv.n_intervals();
   std::vector<std::size_t> counts(best.k, 0);
   for (std::size_t a : best.assignment) ++counts[a];
@@ -261,6 +296,16 @@ SimPoints choose_simpoints(const sim::Trace& trace,
   return sp;
 }
 
+}  // namespace
+
+SimPoints choose_simpoints(const sim::Trace& trace,
+                           std::size_t interval_length,
+                           std::size_t max_clusters, std::uint64_t seed) {
+  trace::Span span("workload.choose_simpoints", "workload");
+  return pick_simpoints(collect_bbv(trace, interval_length, 15, seed),
+                        max_clusters, seed);
+}
+
 sim::Trace extract_intervals(const sim::Trace& trace,
                              const SimPoints& points) {
   DSML_REQUIRE(!points.points.empty(), "extract_intervals: no points");
@@ -276,6 +321,56 @@ sim::Trace extract_intervals(const sim::Trace& trace,
                           static_cast<std::ptrdiff_t>(begin +
                                                       points.interval_length));
   }
+  return out;
+}
+
+Reduction reduce_trace(const AppProfile& profile, std::size_t n,
+                       std::uint64_t seed, std::size_t interval_length,
+                       std::size_t max_clusters) {
+  static metrics::Counter& instructions =
+      metrics::counter("workload.trace_instructions");
+  DSML_REQUIRE(interval_length > 0,
+               "reduce_trace: interval_length must be > 0");
+  DSML_REQUIRE(n >= interval_length,
+               "reduce_trace: trace shorter than one interval");
+  // choose_simpoints' defaults: SimPoint's 15 dimensions, seed 42.
+  constexpr std::size_t kDims = 15;
+  constexpr std::uint64_t kSimPointSeed = 42;
+  const std::size_t n_intervals = n / interval_length;
+
+  // One pass over the trace: its BBVs, and the builder at each interval
+  // start. The trailing partial interval is never read.
+  std::vector<TraceBuilder> starts;
+  BasicBlockVectors bbv;
+  {
+    trace::Span span("workload.generate_trace", "workload");
+    TraceBuilder builder(profile, n, seed);
+    BbvBuilder vectors(interval_length, kDims, kSimPointSeed, n_intervals);
+    starts.reserve(n_intervals);
+    for (std::size_t iv = 0; iv < n_intervals; ++iv) {
+      starts.push_back(builder);
+      for (std::size_t k = 0; k < interval_length; ++k) {
+        vectors.add(builder.next());
+      }
+    }
+    bbv = vectors.take();
+    instructions.add(n);
+  }
+
+  Reduction out;
+  {
+    trace::Span span("workload.choose_simpoints", "workload");
+    out.points = pick_simpoints(bbv, max_clusters, kSimPointSeed);
+  }
+
+  trace::Span span("workload.regenerate_intervals", "workload");
+  const std::vector<SimPoint>& points = out.points.points;
+  out.trace.instrs.resize(points.size() * interval_length);
+  parallel_for(0, points.size(), [&](std::size_t p) {
+    TraceBuilder builder = starts[points[p].interval_index];
+    sim::Instr* dst = out.trace.instrs.data() + p * interval_length;
+    for (std::size_t k = 0; k < interval_length; ++k) dst[k] = builder.next();
+  });
   return out;
 }
 

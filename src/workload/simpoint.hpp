@@ -7,6 +7,13 @@
 // cluster with k-means (k chosen by the Bayesian Information Criterion as in
 // X-means/SimPoint), and pick, per cluster, the interval closest to the
 // centroid, weighted by cluster population.
+//
+// collect_bbv, choose_simpoints and extract_intervals work on a trace held
+// in memory. reduce_trace gives the same reduced trace without ever holding
+// the full one: one pass generates it and collects its BBVs, keeping a
+// TraceBuilder copy at each interval start, and the chosen intervals are
+// then regenerated from their copies. Its memory grows with the SimPoints
+// times the interval length, not with the trace.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +21,7 @@
 
 #include "common/rng.hpp"
 #include "sim/trace.hpp"
+#include "workload/profiles.hpp"
 
 namespace dsml::workload {
 
@@ -70,7 +78,23 @@ SimPoints choose_simpoints(const sim::Trace& trace,
                            std::uint64_t seed = 42);
 
 /// Concatenate the representative intervals into one reduced trace (ordered
-/// by interval index). This is what the design-space sweep simulates.
+/// by interval index). The design-space sweep simulates this trace, built by
+/// reduce_trace.
 sim::Trace extract_intervals(const sim::Trace& trace, const SimPoints& points);
+
+/// A reduced trace and the SimPoints it concatenates.
+struct Reduction {
+  sim::Trace trace;  ///< the chosen intervals, ordered by interval index
+  SimPoints points;
+};
+
+/// For t = generate_trace(profile, n, seed), the points
+/// choose_simpoints(t, interval_length, max_clusters) and the trace
+/// extract_intervals(t, points), byte for byte, without holding t. The
+/// chosen intervals are regenerated in parallel on the global pool. Adds n
+/// to workload.trace_instructions, as generate_trace does.
+Reduction reduce_trace(const AppProfile& profile, std::size_t n,
+                       std::uint64_t seed, std::size_t interval_length,
+                       std::size_t max_clusters);
 
 }  // namespace dsml::workload

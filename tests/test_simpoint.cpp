@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 
+#include "common/metrics.hpp"
+#include "dse/sweep.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -48,6 +53,25 @@ TEST(Bbv, DeterministicForSeed) {
   const auto a = collect_bbv(trace, 5000, 15, 9);
   const auto b = collect_bbv(trace, 5000, 15, 9);
   EXPECT_EQ(a.vectors, b.vectors);
+}
+
+TEST(Bbv, VectorsArePinnedToTheLastBit) {
+  // Each interval's L1 normalisation and projection sum its block counts in
+  // the order its hash map iterates them, which depends on the map's bucket
+  // history: one map reused across intervals moves the last bits here
+  // without moving any SimPoint the other tests check. The constant is an
+  // FNV-style hash over the bits of every coordinate.
+  const auto trace = generate_trace(spec_profile("gcc"), 20000);
+  const auto bbv = collect_bbv(trace, 2000);
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const auto& v : bbv.vectors) {
+    for (const double x : v) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &x, sizeof bits);
+      hash = (hash ^ bits) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(hash, 0x2294080b553f2c0dULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -177,6 +201,68 @@ TEST(ExtractIntervals, ConcatenatesRepresentatives) {
   const std::size_t first =
       points.points.front().interval_index * 5000;
   EXPECT_EQ(reduced.instrs.front().pc, trace.instrs[first].pc);
+}
+
+// ---------------------------------------------------------------------------
+
+bool same_instr(const sim::Instr& a, const sim::Instr& b) {
+  return a.pc == b.pc && a.mem_addr == b.mem_addr && a.target == b.target &&
+         a.dep1 == b.dep1 && a.dep2 == b.dep2 && a.op == b.op &&
+         a.taken == b.taken;
+}
+
+class StreamedReduction : public ::testing::TestWithParam<std::string> {};
+
+// dse::build_reduced_trace streams the full trace once (reduce_trace) and
+// regenerates the chosen intervals on the pool; it must give exactly what
+// the materialised pipeline gives, and count the full trace once.
+TEST_P(StreamedReduction, EqualsTheMaterialisedPipeline) {
+  struct Fidelity {
+    std::size_t full, interval, clusters;
+  };
+  // The CLI's defaults; the sim goldens'; a trailing partial interval; and
+  // intervals shorter than a block, so one block holds several starts.
+  const Fidelity fidelities[] = {{600000, 30000, 4}, {20000, 2000, 2},
+                                 {123457, 7001, 6},  {3000, 1, 3},
+                                 {3000, 2, 3},       {3000, 3, 4},
+                                 {3000, 7, 4}};
+  const std::string app = GetParam();
+  metrics::Counter& generated = metrics::counter("workload.trace_instructions");
+  for (const std::uint64_t seed : {0, 9}) {
+    for (const Fidelity& f : fidelities) {
+      SCOPED_TRACE(app + " seed " + std::to_string(seed) + " at " +
+                   std::to_string(f.full) + "/" + std::to_string(f.interval) +
+                   "/" + std::to_string(f.clusters));
+      dse::SweepOptions options;
+      options.full_trace_instructions = f.full;
+      options.interval_instructions = f.interval;
+      options.max_clusters = f.clusters;
+      options.trace_seed = seed;
+      const std::uint64_t before = generated.value();
+      const dse::ReducedTrace streamed = dse::build_reduced_trace(app, options);
+      EXPECT_EQ(generated.value() - before, f.full);
+
+      const sim::Trace full = generate_trace(spec_profile(app), f.full, seed);
+      const SimPoints points = choose_simpoints(full, f.interval, f.clusters);
+      const sim::Trace expected = extract_intervals(full, points);
+      EXPECT_EQ(streamed.simpoint_count, points.points.size());
+      ASSERT_EQ(streamed.trace.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(same_instr(streamed.trace.instrs[i], expected.instrs[i]))
+            << "instruction " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, StreamedReduction,
+                         ::testing::ValuesIn(spec_profile_names()));
+
+TEST(ReduceTrace, RejectsATraceShorterThanOneInterval) {
+  EXPECT_THROW(reduce_trace(spec_profile("gcc"), 999, 0, 1000, 2),
+               InvalidArgument);
+  EXPECT_THROW(reduce_trace(spec_profile("gcc"), 1000, 0, 0, 2),
+               InvalidArgument);
 }
 
 }  // namespace

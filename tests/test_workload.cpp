@@ -184,6 +184,39 @@ TEST(Generator, MemoryFootprintOrdering) {
   EXPECT_GT(distinct_data_lines(mcf), distinct_data_lines(applu));
 }
 
+TEST(Generator, StoresExactlyTheRequestedInstructions) {
+  // The generator emits whole blocks, so the last one runs past n; keeping
+  // its excess even briefly grows a vector reserved for n to twice that.
+  for (const std::string& app : spec_profile_names()) {
+    for (const std::size_t n : {std::size_t{20000}, std::size_t{600000}}) {
+      const auto trace = generate_trace(spec_profile(app), n);
+      EXPECT_EQ(trace.size(), n) << app;
+      EXPECT_EQ(trace.instrs.capacity(), n) << app << " at " << n;
+    }
+  }
+}
+
+TEST(TraceBuilder, ACopyResumesWhereItWasCopiedAndTheEndThrows) {
+  const auto profile = spec_profile("gcc");
+  const auto trace = generate_trace(profile, 5000, 3);
+  TraceBuilder builder(profile, 5000, 3);
+  std::vector<TraceBuilder> copies;  // copies[c] taken at index 777 * c
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (i % 777 == 0) copies.push_back(builder);
+    EXPECT_EQ(builder.next().pc, trace.instrs[i].pc);
+  }
+  EXPECT_THROW(builder.next(), StateError);
+  for (std::size_t c = 0; c < copies.size(); ++c) {
+    TraceBuilder& copy = copies[c];
+    for (std::size_t i = 777 * c; i < trace.size(); ++i) {
+      const sim::Instr& ins = copy.next();
+      ASSERT_EQ(ins.pc, trace.instrs[i].pc) << "at " << i;
+      ASSERT_EQ(ins.mem_addr, trace.instrs[i].mem_addr) << "at " << i;
+      ASSERT_EQ(ins.dep1, trace.instrs[i].dep1) << "at " << i;
+    }
+  }
+}
+
 TEST(Generator, ZeroLengthThrows) {
   EXPECT_THROW(generate_trace(spec_profile("applu"), 0), InvalidArgument);
 }
